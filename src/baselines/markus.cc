@@ -1,15 +1,11 @@
 #include "baselines/markus.h"
 
-#include "core/sweep_controller.h"
-#include "metrics/telemetry.h"
-#include "sweep/sweeper.h"
 #include "util/bits.h"
 #include "util/log.h"
 
 namespace msw::baseline {
 
 using core::Stat;
-using quarantine::Entry;
 using sweep::Range;
 
 core::QuarantineRuntime::Config
@@ -23,11 +19,13 @@ MarkUs::make_config(const Options& opts)
     c.reclaim.zeroing = false;
     c.control.background = opts.concurrent;
     c.make_tracker = true;
+    // sweep_enabled, keep_failed and purging keep their defaults (MarkUs
+    // aggressively purges after a pass); no helper threads.
     return c;
 }
 
 MarkUs::MarkUs(const Options& opts)
-    : QuarantineRuntime(make_config(opts), [this] { run_mark(); }),
+    : QuarantineRuntime(make_config(opts)),
       opts_(opts)
 {
     controller_.start();
@@ -35,8 +33,8 @@ MarkUs::MarkUs(const Options& opts)
 
 MarkUs::~MarkUs()
 {
-    // Before our members die: the mark function runs on the controller's
-    // thread and calls back into this (derived) object.
+    // Before our members die: the sweep pass runs on the controller's
+    // thread and calls back into this (derived) object's mark().
     controller_.shutdown();
 }
 
@@ -65,11 +63,11 @@ MarkUs::alloc_slow(std::size_t request, std::size_t alignment)
 {
     // Memory pressure: marking passes both release unreferenced
     // quarantined objects and purge the allocator's free structures
-    // (run_mark ends with purge_all), so a forced pass is the strongest
+    // (every pass ends with purge_all), so a forced pass is the strongest
     // reclaim available. Match MineSweeper's contract: never abort,
     // return nullptr only once reclaim stops helping.
     for (unsigned attempt = 0; attempt < 3; ++attempt) {
-        force_mark();
+        force_sweep();
         void* p = alignment == 0 ? jade_.alloc(request)
                                  : jade_.alloc_aligned(alignment, request);
         if (p != nullptr)
@@ -164,130 +162,31 @@ MarkUs::scan_for_objects(std::uintptr_t base, std::size_t len,
     }
 }
 
-void
-MarkUs::drain_worklist(std::vector<Range>* worklist)
+std::vector<Range>
+MarkUs::scan_set() const
 {
-    while (!worklist->empty()) {
-        const Range r = worklist->back();
-        worklist->pop_back();
-        scan_for_objects(r.base, r.len, worklist);
-    }
-}
-
-void
-MarkUs::run_mark()
-{
-    reclaimer_.begin_scan();
-    std::vector<Entry> locked_in;
-    quarantine_.lock_in(locked_in);
-    if (locked_in.empty()) {
-        reclaimer_.end_scan();
-        return;
-    }
-
-    const std::uint64_t cpu0 = sweep::thread_cpu_ns();
-    const std::uint64_t mark_t0 = core::monotonic_ns();
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
-                                     locked_in.size());
-
-    // Phase 1a (dirty-scan): arm the write tracker.
-    tracker_->begin(access_map_.committed_runs());
-    const std::uint64_t dirty_ns = core::monotonic_ns() - mark_t0;
-    stats_.add(Stat::kPhaseDirtyScanNs, dirty_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDirtyScan,
-                                     dirty_ns);
-
-    // Phase 1b: concurrent transitive mark from the roots.
-    std::vector<Range> worklist;
-    std::vector<Range> root_scan;
+    std::vector<Range> ranges;
     for (const Range& r : roots_.roots())
-        sweep::append_resident_subranges(r, &root_scan);
+        sweep::append_resident_subranges(r, &ranges);
     for (const Range& r : roots_.stacks())
-        sweep::append_resident_subranges(r, &root_scan);
-    for (const Range& r : root_scan)
-        scan_for_objects(r.base, r.len, &worklist);
-    drain_worklist(&worklist);
-
-    // Phase 2: stop-the-world recheck — rescan dirtied pages, stacks and
-    // registers, continuing the transitive closure to a fixpoint
-    // (Boehm's mostly-parallel collection).
-    const std::uint64_t stw_t0 = core::monotonic_ns();
-    roots_.stop_world();
-    std::vector<Range> rescan;
-    tracker_->end_collect(rescan);
-    if (!tracker_->tracks_arbitrary_memory()) {
-        for (const Range& r : roots_.roots_stw())
-            sweep::append_resident_subranges(r, &rescan);
-    }
-    for (const Range& r : roots_.stacks_stw())
-        sweep::append_resident_subranges(r, &rescan);
-    for (const Range& r : roots_.parked_registers())
-        rescan.push_back(r);
-    for (const Range& r : rescan)
-        scan_for_objects(r.base, r.len, &worklist);
-    drain_worklist(&worklist);
-    roots_.resume_world();
-    const std::uint64_t stw_ns = core::monotonic_ns() - stw_t0;
-    stats_.add(Stat::kStwNs, stw_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kStwPause,
-                                     stw_ns);
-    // Mark phase: both transitive passes (the STW recheck included).
-    const std::uint64_t mark_ns = core::monotonic_ns() - mark_t0 - dirty_ns;
-    stats_.add(Stat::kPhaseMarkNs, mark_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseMark,
-                                     mark_ns);
-
-    // Deferred unmaps before release: every affected entry is still
-    // quarantined here and its pages have been scanned.
-    const std::uint64_t drain_t0 = core::monotonic_ns();
-    reclaimer_.drain_pending();
-    const std::uint64_t drain_ns = core::monotonic_ns() - drain_t0;
-    stats_.add(Stat::kPhaseDrainNs, drain_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDrain,
-                                     drain_ns);
-
-    // Phase 3: release unmarked quarantined allocations.
-    const std::uint64_t release_t0 = core::monotonic_ns();
-    std::vector<Entry> failed;
-    std::uint64_t released_n = 0;
-    for (const Entry& e : locked_in) {
-        if (mark_bits_.test(e.real_base())) {
-            failed.push_back(e);
-            continue;
-        }
-        if (!reclaimer_.release_entry(e)) {
-            // Cannot restore accessibility; keep the entry quarantined
-            // and retry on the next pass rather than hand out an
-            // inaccessible block.
-            failed.push_back(e);
-            continue;
-        }
-        ++released_n;
-    }
-    const std::uint64_t release_ns = core::monotonic_ns() - release_t0;
-    stats_.add(Stat::kPhaseReleaseNs, release_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,
-                                     release_ns, released_n);
-    mark_bits_.clear_marks();
-    quarantine_.store_failed(std::move(failed));
-
-    reclaimer_.end_scan();
-
-    // MarkUs aggressively reclaims allocator free structures after a
-    // marking pass (the paper notes this need for large quarantines).
-    jade_.purge_all();
-
-    stats_.add(Stat::kSweepCpuNs, sweep::thread_cpu_ns() - cpu0);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepEnd,
-                                     core::monotonic_ns() - mark_t0,
-                                     released_n);
+        sweep::append_resident_subranges(r, &ranges);
+    return ranges;
 }
 
-void
-MarkUs::force_mark()
+std::uint64_t
+MarkUs::mark(const std::vector<Range>& ranges)
 {
-    quarantine_.flush_thread_buffer();
-    controller_.force_sweep();
+    // The input ranges seed the mark stack; every object reached is
+    // pushed in turn until the closure is complete.
+    std::vector<Range> worklist(ranges);
+    std::uint64_t scanned = 0;
+    while (!worklist.empty()) {
+        const Range r = worklist.back();
+        worklist.pop_back();
+        scanned += r.len;
+        scan_for_objects(r.base, r.len, &worklist);
+    }
+    return scanned;
 }
 
 }  // namespace msw::baseline

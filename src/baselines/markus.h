@@ -13,11 +13,12 @@
  * per-word allocation lookups and mark-stack traffic — exactly the costs
  * MineSweeper's linear sweep eliminates (paper §4.1, §6.6).
  *
- * All plumbing shared with MineSweeper — extent hooks, quarantine epochs,
+ * Everything shared with MineSweeper — extent hooks, quarantine epochs,
  * double-free bitmap, root/thread registration, marker-thread lifecycle,
- * deferred unmaps — lives in core::QuarantineRuntime; this class keeps
- * only what makes MarkUs MarkUs: the transitive mark and the 25 %
- * trigger.
+ * deferred unmaps and the sweep pass itself (lock-in, STW recheck,
+ * release, counters) — lives in core::QuarantineRuntime; this class
+ * keeps only what makes MarkUs MarkUs: the transitive mark from the
+ * roots and the 25 % trigger.
  *
  * Fidelity notes:
  *  - 25 % quarantine threshold (the paper's MarkUs configuration, §3.2);
@@ -62,34 +63,14 @@ class MarkUs final : public core::QuarantineRuntime
     void* alloc_aligned(std::size_t alignment, std::size_t size) override;
     const char* name() const override { return "markus"; }
 
-    /** Run a full marking pass now and wait for it. */
-    void force_mark();
-
-    /** Marking-pass count (the analogue of MineSweeper's sweep count). */
-    std::uint64_t
-    marks_done() const
-    {
-        return controller_.sweeps_done();
-    }
-
-    std::uint64_t
-    mark_cpu_ns() const
-    {
-        return stats_.read(core::Stat::kSweepCpuNs);
-    }
-
-    /** Telemetry accessor for one stat cell (phase/pause breakdowns). */
-    std::uint64_t
-    stat_ns(core::Stat stat) const
-    {
-        return stats_.read(stat);
-    }
-
   private:
     void maybe_trigger_mark();
     /** Substrate-exhaustion path: forced marking passes, then nullptr. */
     void* alloc_slow(std::size_t request, std::size_t alignment);
-    void run_mark();
+    /** Resident roots and stacks: the transitive mark's starting set. */
+    std::vector<sweep::Range> scan_set() const override;
+    /** Transitive closure from @p ranges (Boehm-style mark stack). */
+    std::uint64_t mark(const std::vector<sweep::Range>& ranges) override;
     /**
      * Scan [base, base+len) for pointers; push newly marked objects.
      * Conservative scan over racy memory: sanitizer instrumentation off
@@ -98,7 +79,6 @@ class MarkUs final : public core::QuarantineRuntime
     MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD
     void scan_for_objects(std::uintptr_t base, std::size_t len,
                           std::vector<sweep::Range>* worklist);
-    void drain_worklist(std::vector<sweep::Range>* worklist);
 
     static Config make_config(const Options& opts);
 

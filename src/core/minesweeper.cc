@@ -13,10 +13,7 @@
 namespace msw::core {
 
 using quarantine::Entry;
-using sweep::MarkStats;
 using sweep::Range;
-using util::Failpoint;
-using util::failpoint_should_fail;
 
 QuarantineRuntime::Config
 MineSweeper::make_config(const Options& opts)
@@ -31,13 +28,17 @@ MineSweeper::make_config(const Options& opts)
     c.control.watchdog_timeout_ms = opts.watchdog_timeout_ms;
     c.make_tracker = opts.mode == Mode::kMostlyConcurrent;
     c.report_double_frees = opts.report_double_frees;
+    c.sweep_enabled = opts.sweep_enabled;
+    c.keep_failed = opts.keep_failed;
+    c.purging = opts.purging;
+    c.helper_threads = opts.helper_threads;
     return c;
 }
 
 // msw-analyze: slow-path(one-time engine construction under the shim's
 // g_state init latch; never runs on the steady-state alloc/free path)
 MineSweeper::MineSweeper(const Options& opts)
-    : QuarantineRuntime(make_config(opts), [this] { run_sweep(); }),
+    : QuarantineRuntime(make_config(opts)),
       opts_([&] {
           Options o = opts;
           // Mirror the base's decay override (§4.5) so options() reports
@@ -48,10 +49,6 @@ MineSweeper::MineSweeper(const Options& opts)
       marker_(&mark_bits_, jade_.reservation().base(),
               jade_.reservation().end())
 {
-    if (opts_.helper_threads > 0)
-        workers_ = std::make_unique<sweep::SweepWorkers>(
-            opts_.helper_threads);
-
     controller_.start();
 
     // Last: every member is live, so the instance can safely serve
@@ -63,10 +60,9 @@ MineSweeper::~MineSweeper()
 {
     // First: stop serving atfork callbacks before any member dies.
     lifecycle::unregister_runtime(this);
-    // Before our members die: the sweep function touches marker_ and
-    // workers_, which are gone by the time the base destructor runs.
+    // Before our members die: the sweep pass calls mark(), which
+    // touches marker_, gone by the time the base destructor runs.
     controller_.shutdown();
-    workers_.reset();
 }
 
 // ----------------------------------------------------------------- alloc
@@ -317,7 +313,7 @@ MineSweeper::maybe_trigger_sweep()
 // ---------------------------------------------------------------- sweeps
 
 std::vector<Range>
-MineSweeper::scan_ranges() const
+MineSweeper::scan_set() const
 {
     std::vector<Range> ranges = access_map_.committed_runs();
     for (const Range& r : roots_.roots())
@@ -350,6 +346,12 @@ MineSweeper::scan_ranges() const
     return ranges;
 }
 
+std::uint64_t
+MineSweeper::mark(const std::vector<Range>& ranges)
+{
+    return marker_.mark_ranges(ranges, workers_.get()).bytes_scanned;
+}
+
 // msw-analyze: slow-path(configuration API: called once at engine
 // construction and from tests, never on the alloc/free path)
 void
@@ -358,233 +360,6 @@ MineSweeper::set_extra_roots_provider(
 {
     LockGuard g(extra_roots_lock_);
     extra_roots_provider_ = std::move(provider);
-}
-
-void
-MineSweeper::run_sweep()
-{
-    reclaimer_.begin_scan();
-    // Test hook: hold the sweep open while armed so tests can exercise
-    // the concurrent free()/deferred-unmap machinery deterministically.
-    while (failpoint_should_fail(Failpoint::kSweepDelay))
-        ::usleep(1000);
-    std::vector<Entry> locked_in;
-    quarantine_.lock_in(locked_in);
-    if (locked_in.empty()) {
-        reclaimer_.end_scan();
-        return;
-    }
-    // lock_in already ran the policy's release-order shuffle; count it.
-    if (config_.policy->shuffle != nullptr)
-        stats_.add(Stat::kReleaseShuffles);
-
-    const std::uint64_t cpu0 = sweep::thread_cpu_ns();
-    const std::uint64_t helpers0 =
-        workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    // Phase timers (telemetry layer): the sweep is the slow path by
-    // construction, so the handful of clock reads below are recorded
-    // unconditionally; only trace-ring pushes are gated.
-    const std::uint64_t sweep_t0 = monotonic_ns();
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
-                                     locked_in.size());
-
-    if (opts_.sweep_enabled) {
-        // Phase 1a (dirty-scan): arm the write tracker over the ranges
-        // whose mutations the STW recheck must observe.
-        const std::uint64_t dirty_t0 = monotonic_ns();
-        const bool track = tracker_ != nullptr;
-        if (track) {
-            std::vector<Range> tracked = access_map_.committed_runs();
-            if (tracker_->tracks_arbitrary_memory()) {
-                for (const Range& r : roots_.roots())
-                    tracked.push_back(r);
-            }
-            tracker_->begin(tracked);
-        }
-        const std::uint64_t dirty_ns = monotonic_ns() - dirty_t0;
-        stats_.add(Stat::kPhaseDirtyScanNs, dirty_ns);
-        metrics::telemetry().trace_event(
-            metrics::TraceEvent::kPhaseDirtyScan, dirty_ns);
-
-        // Phase 1b (mark): concurrent linear mark of all scannable
-        // memory, plus the STW recheck when tracking.
-        const std::uint64_t mark_t0 = monotonic_ns();
-        const MarkStats ms = marker_.mark_ranges(scan_ranges(),
-                                                 workers_.get());
-        stats_.add(Stat::kBytesScanned, ms.bytes_scanned);
-        std::uint64_t scanned = ms.bytes_scanned;
-
-        if (track) {
-            // Phase 2 (mostly-concurrent only): brief stop-the-world
-            // recheck of pages modified during phase 1 (§4.3).
-            const std::uint64_t t0 = monotonic_ns();
-            roots_.stop_world();
-            std::vector<Range> rescan;
-            tracker_->end_collect(rescan);
-            if (!tracker_->tracks_arbitrary_memory()) {
-                for (const Range& r : roots_.roots_stw())
-                    sweep::append_resident_subranges(r, &rescan);
-            }
-            for (const Range& r : roots_.stacks_stw())
-                sweep::append_resident_subranges(r, &rescan);
-            for (const Range& r : roots_.parked_registers())
-                rescan.push_back(r);
-            const MarkStats ms2 = marker_.mark_ranges(rescan,
-                                                      workers_.get());
-            roots_.resume_world();
-            stats_.add(Stat::kBytesScanned, ms2.bytes_scanned);
-            scanned += ms2.bytes_scanned;
-            const std::uint64_t stw_ns = monotonic_ns() - t0;
-            stats_.add(Stat::kStwNs, stw_ns);
-            metrics::telemetry().trace_event(
-                metrics::TraceEvent::kStwPause, stw_ns);
-        }
-        // The mark phase spans both passes (the STW window included:
-        // its recheck is marking work; kStwNs isolates the stop itself).
-        const std::uint64_t mark_ns = monotonic_ns() - mark_t0;
-        stats_.add(Stat::kPhaseMarkNs, mark_ns);
-        metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseMark,
-                                         mark_ns, scanned);
-    }
-
-    // Perform deferred page-unmaps now that marking is done: every
-    // affected entry is still quarantined at this point, so this is safe
-    // and the pages have already been scanned.
-    const std::uint64_t drain_t0 = monotonic_ns();
-    reclaimer_.drain_pending();
-    const std::uint64_t drain_ns = monotonic_ns() - drain_t0;
-    stats_.add(Stat::kPhaseDrainNs, drain_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDrain,
-                                     drain_ns);
-
-    // Phase 3: walk the locked-in quarantine; release unmarked entries.
-    std::vector<Entry> failed;
-    const unsigned nworkers =
-        workers_ != nullptr ? workers_->count() : 1;
-    std::vector<std::vector<Entry>> failed_per_worker(nworkers);
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> released_count{0};
-    std::atomic<std::uint64_t> released_bytes{0};
-    std::atomic<std::uint64_t> failed_count{0};
-    std::atomic<std::uint64_t> fill_checks{0};
-    std::atomic<std::uint64_t> fill_violations{0};
-
-    // Hardened policy: audit the quarantine fill of every entry about to
-    // be released. A byte that changed while the block sat unreferenced
-    // in quarantine is a write-after-free. Needs the fill to have been
-    // written in the first place, hence the zeroing gate; unmapped
-    // entries have no bytes to audit.
-    const auto check_fill =
-        opts_.zeroing ? config_.policy->check_free_fill : nullptr;
-
-    auto release_job = [&](unsigned index) {
-        // Sweep context with restore on exit: index 0 runs on the
-        // *calling* thread, which for emergency and watchdog-fallback
-        // sweeps is a mutator whose own watchdog checks must survive.
-        SweepController::ScopedSweepContext scoped;
-        constexpr std::size_t kBatch = 64;
-        for (;;) {
-            // msw-relaxed(work-cursor): batch ticket; only RMW
-            // atomicity matters, entries are read-only here.
-            const std::size_t start =
-                next.fetch_add(kBatch, std::memory_order_relaxed);
-            if (start >= locked_in.size())
-                break;
-            const std::size_t end =
-                std::min(start + kBatch, locked_in.size());
-            for (std::size_t i = start; i < end; ++i) {
-                const Entry& e = locked_in[i];
-                const bool marked =
-                    opts_.sweep_enabled &&
-                    mark_bits_.test_range(e.real_base(), e.usable);
-                if (marked) {
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    failed_count.fetch_add(1, std::memory_order_relaxed);
-                    if (opts_.keep_failed) {
-                        failed_per_worker[index].push_back(e);
-                        continue;
-                    }
-                }
-                if (check_fill != nullptr && !e.unmapped) {
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    fill_checks.fetch_add(1, std::memory_order_relaxed);
-                    const void* bad = check_fill(to_ptr(e.real_base()),
-                                                 e.usable);
-                    if (bad != nullptr) {
-                        // msw-relaxed(stat-cells): sweep tally; the
-                        // join below publishes it to the reader.
-                        fill_violations.fetch_add(
-                            1, std::memory_order_relaxed);
-                        alloc::policy_violation(
-                            "quarantined memory tampered before release",
-                            bad);
-                    }
-                }
-                if (!reclaimer_.release_entry(e)) {
-                    // Could not restore access under pressure: keep the
-                    // entry quarantined; a later sweep retries.
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    failed_count.fetch_add(1, std::memory_order_relaxed);
-                    failed_per_worker[index].push_back(e);
-                    continue;
-                }
-                // msw-relaxed(stat-cells): sweep tallies; the join
-                // below publishes them to the reader.
-                released_count.fetch_add(1, std::memory_order_relaxed);
-                released_bytes.fetch_add(e.usable,
-                                         std::memory_order_relaxed);
-            }
-        }
-    };
-    const std::uint64_t release_t0 = monotonic_ns();
-    if (workers_ != nullptr)
-        workers_->run(release_job);
-    else
-        release_job(0);
-    const std::uint64_t release_ns = monotonic_ns() - release_t0;
-    stats_.add(Stat::kPhaseReleaseNs, release_ns);
-
-    for (auto& fv : failed_per_worker)
-        failed.insert(failed.end(), fv.begin(), fv.end());
-
-    // msw-relaxed(stat-cells): tallies read after the worker join,
-    // which publishes every worker's writes.
-    const std::uint64_t released_n =
-        released_count.load(std::memory_order_relaxed);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,
-                                     release_ns, released_n);
-    stats_.add(Stat::kEntriesReleased, released_n);
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kBytesReleased,
-               released_bytes.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kFailedFrees,
-               failed_count.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kSweepFillChecks,
-               fill_checks.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kCanaryViolations,
-               fill_violations.load(std::memory_order_relaxed));
-    mark_bits_.clear_marks();
-    quarantine_.store_failed(std::move(failed));
-
-    reclaimer_.end_scan();
-
-    // §4.5: full allocator purge synchronised with the end of the sweep.
-    if (opts_.purging)
-        jade_.purge_all();
-
-    const std::uint64_t helpers1 =
-        workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    stats_.add(Stat::kSweepCpuNs, (sweep::thread_cpu_ns() - cpu0) +
-                                      (helpers1 - helpers0));
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepEnd,
-                                     monotonic_ns() - sweep_t0,
-                                     released_n);
 }
 
 // ----------------------------------------------------- process lifecycle
@@ -650,54 +425,6 @@ void
 MineSweeper::quiesce()
 {
     controller_.shutdown();
-}
-
-// ----------------------------------------------------------------- misc
-
-void
-MineSweeper::force_sweep()
-{
-    quarantine_.flush_thread_buffer();
-    controller_.force_sweep();
-}
-
-SweepStats
-MineSweeper::sweep_stats() const
-{
-    std::uint64_t v[kStatCount];
-    stats_.read_all(v);
-    SweepStats s;
-    s.sweeps = controller_.sweeps_done();
-    s.entries_released = v[static_cast<unsigned>(Stat::kEntriesReleased)];
-    s.bytes_released = v[static_cast<unsigned>(Stat::kBytesReleased)];
-    s.failed_frees = v[static_cast<unsigned>(Stat::kFailedFrees)];
-    s.double_frees = v[static_cast<unsigned>(Stat::kDoubleFrees)];
-    s.bytes_scanned = v[static_cast<unsigned>(Stat::kBytesScanned)];
-    s.sweep_cpu_ns = v[static_cast<unsigned>(Stat::kSweepCpuNs)];
-    s.stw_ns = v[static_cast<unsigned>(Stat::kStwNs)];
-    s.pause_ns = v[static_cast<unsigned>(Stat::kPauseNs)];
-    s.unmapped_entries = v[static_cast<unsigned>(Stat::kUnmappedEntries)];
-    s.phase_dirty_scan_ns =
-        v[static_cast<unsigned>(Stat::kPhaseDirtyScanNs)];
-    s.phase_mark_ns = v[static_cast<unsigned>(Stat::kPhaseMarkNs)];
-    s.phase_drain_ns = v[static_cast<unsigned>(Stat::kPhaseDrainNs)];
-    s.phase_release_ns = v[static_cast<unsigned>(Stat::kPhaseReleaseNs)];
-    s.emergency_sweeps = v[static_cast<unsigned>(Stat::kEmergencySweeps)];
-    s.commit_retries = v[static_cast<unsigned>(Stat::kCommitRetries)];
-    s.watchdog_fallbacks =
-        v[static_cast<unsigned>(Stat::kWatchdogFallbacks)];
-    s.oom_returns = v[static_cast<unsigned>(Stat::kOomReturns)];
-    s.canary_checks = v[static_cast<unsigned>(Stat::kCanaryChecks)];
-    s.canary_violations =
-        v[static_cast<unsigned>(Stat::kCanaryViolations)];
-    s.sweep_fill_checks =
-        v[static_cast<unsigned>(Stat::kSweepFillChecks)];
-    s.release_shuffles =
-        v[static_cast<unsigned>(Stat::kReleaseShuffles)];
-    for (unsigned i = 0; i < util::kNumFailpoints; ++i)
-        s.failpoint_hits[i] =
-            util::failpoint_hits(static_cast<util::Failpoint>(i));
-    return s;
 }
 
 }  // namespace msw::core

@@ -22,61 +22,21 @@
  *  - every allocation is served with at least one byte of slack so
  *    one-past-the-end pointers keep their object quarantined.
  *
- * The mechanism layers live in the QuarantineRuntime base (see
- * runtime_base.h): SweepController decides *when* a sweep runs, Reclaimer
- * decides *how* quarantined memory comes back, StatCells counts the fast
- * path without cache-line contention. This class keeps the policy: the
- * linear mark (sweep::Marker), the trigger thresholds and the allocation
- * degradation ladder.
+ * The sweep pass and its mechanism layers live in the QuarantineRuntime
+ * base (see runtime_base.h). This class keeps the policy: the linear
+ * mark (sweep::Marker) over its scan set, the trigger thresholds and the
+ * allocation degradation ladder.
  */
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/options.h"
 #include "core/runtime_base.h"
-#include "sweep/sweeper.h"
-#include "util/failpoint.h"
 #include "util/spin_lock.h"
 
 namespace msw::core {
-
-/** Counters describing sweeping activity (Fig 12, Fig 14 inputs). */
-struct SweepStats {
-    std::uint64_t sweeps = 0;
-    std::uint64_t entries_released = 0;
-    std::uint64_t bytes_released = 0;
-    std::uint64_t failed_frees = 0;      ///< Entry-test failures (cumulative).
-    std::uint64_t double_frees = 0;
-    std::uint64_t bytes_scanned = 0;     ///< Total marking traffic.
-    std::uint64_t sweep_cpu_ns = 0;      ///< Sweeper + helper CPU time.
-    std::uint64_t stw_ns = 0;            ///< Total stop-the-world time.
-    std::uint64_t pause_ns = 0;          ///< Allocation-pausing wait time.
-    std::uint64_t unmapped_entries = 0;  ///< Large allocations unmapped.
-
-    // Sweep-phase breakdown (telemetry layer; subsets of sweep_cpu_ns).
-    std::uint64_t phase_dirty_scan_ns = 0;  ///< Root/lock-in setup.
-    std::uint64_t phase_mark_ns = 0;        ///< Linear heap + root marking.
-    std::uint64_t phase_drain_ns = 0;       ///< Deferred-free drain.
-    std::uint64_t phase_release_ns = 0;     ///< Entry test + release batches.
-
-    // Resilience counters (memory-pressure degradation + watchdog).
-    std::uint64_t emergency_sweeps = 0;   ///< Reclaims run from alloc().
-    std::uint64_t commit_retries = 0;     ///< alloc() retries after failure.
-    std::uint64_t watchdog_fallbacks = 0; ///< Synchronous watchdog sweeps.
-    std::uint64_t oom_returns = 0;        ///< alloc() nullptr returns.
-
-    // Hardened-policy counters (zero under the default policy).
-    std::uint64_t canary_checks = 0;      ///< free()-time canary tests.
-    std::uint64_t canary_violations = 0;  ///< Tampered canaries/fills seen.
-    std::uint64_t sweep_fill_checks = 0;  ///< Release-time fill audits.
-    std::uint64_t release_shuffles = 0;   ///< Randomized release batches.
-
-    /** Process-global failpoint fire counts, indexed by util::Failpoint. */
-    std::uint64_t failpoint_hits[util::kNumFailpoints] = {};
-};
 
 class MineSweeper final : public QuarantineRuntime
 {
@@ -106,13 +66,6 @@ class MineSweeper final : public QuarantineRuntime
      */
     void set_extra_roots_provider(
         std::function<std::vector<sweep::Range>()> provider);
-
-    // ---------------------------------------------------------- Control
-
-    /** Trigger a sweep now and wait for it to complete. */
-    void force_sweep();
-
-    SweepStats sweep_stats() const;
 
     const Options& options() const { return opts_; }
 
@@ -156,8 +109,10 @@ class MineSweeper final : public QuarantineRuntime
     void quarantine_free(void* ptr, std::uintptr_t base, std::size_t usable,
                          bool is_large);
     void maybe_trigger_sweep();
-    void run_sweep();
-    std::vector<sweep::Range> scan_ranges() const;
+
+    /** Committed heap runs, roots, stacks and extra-provider ranges. */
+    std::vector<sweep::Range> scan_set() const override;
+    std::uint64_t mark(const std::vector<sweep::Range>& ranges) override;
 
     /** Slow path once the substrate returns nullptr: retry with backoff,
         interleaving emergency reclaims; nullptr only when exhausted. */
@@ -170,10 +125,9 @@ class MineSweeper final : public QuarantineRuntime
 
     Options opts_;
     sweep::Marker marker_;
-    std::unique_ptr<sweep::SweepWorkers> workers_;
 
     // The provider is installed from the shim while the sweeper may be
-    // mid-scan; scan_ranges() copies it under this lock before invoking.
+    // mid-scan; scan_set() copies it under this lock before invoking.
     // Rank kCoreConfig: leaf, held only around the std::function copy.
     mutable SpinLock extra_roots_lock_{util::LockRank::kCoreConfig};
     std::function<std::vector<sweep::Range>()> extra_roots_provider_

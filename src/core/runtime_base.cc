@@ -1,11 +1,16 @@
 #include "core/runtime_base.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <ctime>
 
 #include "alloc/extent.h"
 #include "alloc/policy.h"
 #include "alloc/size_classes.h"
 #include "core/lifecycle.h"
+#include "metrics/telemetry.h"
 #include "util/bits.h"
 #include "util/check.h"
 #include "util/log.h"
@@ -14,6 +19,7 @@ namespace msw::core {
 
 using alloc::ExtentKind;
 using alloc::ExtentMeta;
+using quarantine::Entry;
 using sweep::Range;
 
 namespace {
@@ -74,8 +80,7 @@ class QuarantineRuntime::Hooks final : public alloc::ExtentHooks
     QuarantineRuntime* owner_;
 };
 
-QuarantineRuntime::QuarantineRuntime(const Config& config,
-                                     std::function<void()> sweep_fn)
+QuarantineRuntime::QuarantineRuntime(const Config& config)
     : config_([&] {
           Config c = config;
           // Quarantine runtimes replace decay purging with the post-sweep
@@ -103,7 +108,7 @@ QuarantineRuntime::QuarantineRuntime(const Config& config,
                   const_cast<alloc::AllocPolicy*>(config_.policy)),
       reclaimer_(config_.reclaim, &jade_, &access_map_, &quarantine_bitmap_,
                  &stats_),
-      controller_(config_.control, std::move(sweep_fn), &stats_)
+      controller_(config_.control, [this] { run_sweep(); }, &stats_)
 {
     // Before any chaining SEGV handler below (the MprotectTracker) is
     // installed: the crash classifier must be the innermost handler so
@@ -125,15 +130,17 @@ QuarantineRuntime::QuarantineRuntime(const Config& config,
                 &access_map_);
         }
     }
+    if (config_.helper_threads > 0)
+        workers_ = std::make_unique<sweep::SweepWorkers>(
+            config_.helper_threads);
     // The derived constructor calls controller_.start() once every member
-    // its sweep function touches exists.
+    // its mark touches exists.
 }
 
 QuarantineRuntime::~QuarantineRuntime()
 {
     // The derived destructor already called controller_.shutdown() (it
-    // must: the sweep function touches derived members). Idempotent here,
-    // covering runtimes whose sweep function only touches base members.
+    // must: the sweep pass calls the derived mark). Idempotent here.
     controller_.shutdown();
     // Restore default hooks before jade_ (a member) is destroyed, so any
     // destructor-time extent operations do not touch freed state.
@@ -187,6 +194,267 @@ QuarantineRuntime::flush()
     // Wait out any in-flight or requested sweep (no-op in synchronous
     // mode; serves stalled requests on this thread otherwise).
     controller_.wait_idle();
+}
+
+void
+QuarantineRuntime::force_sweep()
+{
+    quarantine_.flush_thread_buffer();
+    controller_.force_sweep();
+}
+
+void
+QuarantineRuntime::run_sweep()
+{
+    reclaimer_.begin_scan();
+    // Test hook: hold the sweep open while armed so tests can exercise
+    // the concurrent free()/deferred-unmap machinery deterministically.
+    while (util::failpoint_should_fail(util::Failpoint::kSweepDelay))
+        ::usleep(1000);
+    std::vector<Entry> locked_in;
+    quarantine_.lock_in(locked_in);
+    if (locked_in.empty()) {
+        reclaimer_.end_scan();
+        return;
+    }
+    // lock_in already ran the policy's release-order shuffle; count it.
+    if (config_.policy->shuffle != nullptr)
+        stats_.add(Stat::kReleaseShuffles);
+
+    const std::uint64_t cpu0 = sweep::thread_cpu_ns();
+    const std::uint64_t helpers0 =
+        workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
+    // Phase timers (telemetry layer): the sweep is the slow path by
+    // construction, so the handful of clock reads below are recorded
+    // unconditionally; only trace-ring pushes are gated.
+    const std::uint64_t sweep_t0 = monotonic_ns();
+    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
+                                     locked_in.size());
+
+    if (config_.sweep_enabled) {
+        // Phase 1a (dirty-scan): arm the write tracker over the ranges
+        // whose mutations the STW recheck must observe.
+        const std::uint64_t dirty_t0 = monotonic_ns();
+        if (tracker_ != nullptr) {
+            std::vector<Range> tracked = access_map_.committed_runs();
+            if (tracker_->tracks_arbitrary_memory()) {
+                for (const Range& r : roots_.roots())
+                    tracked.push_back(r);
+            }
+            tracker_->begin(tracked);
+        }
+        const std::uint64_t dirty_ns = monotonic_ns() - dirty_t0;
+        stats_.add(Stat::kPhaseDirtyScanNs, dirty_ns);
+        metrics::telemetry().trace_event(
+            metrics::TraceEvent::kPhaseDirtyScan, dirty_ns);
+
+        // Phase 1b (mark): concurrent mark from the runtime's scan set,
+        // plus the STW recheck when tracking.
+        const std::uint64_t mark_t0 = monotonic_ns();
+        std::uint64_t scanned = mark(scan_set());
+
+        if (tracker_ != nullptr) {
+            // Phase 2 (mostly-concurrent only): brief stop-the-world
+            // recheck of pages modified during phase 1 (§4.3).
+            const std::uint64_t t0 = monotonic_ns();
+            roots_.stop_world();
+            std::vector<Range> rescan;
+            tracker_->end_collect(rescan);
+            if (!tracker_->tracks_arbitrary_memory()) {
+                for (const Range& r : roots_.roots_stw())
+                    sweep::append_resident_subranges(r, &rescan);
+            }
+            for (const Range& r : roots_.stacks_stw())
+                sweep::append_resident_subranges(r, &rescan);
+            for (const Range& r : roots_.parked_registers())
+                rescan.push_back(r);
+            scanned += mark(rescan);
+            roots_.resume_world();
+            const std::uint64_t stw_ns = monotonic_ns() - t0;
+            stats_.add(Stat::kStwNs, stw_ns);
+            metrics::telemetry().trace_event(
+                metrics::TraceEvent::kStwPause, stw_ns);
+        }
+        stats_.add(Stat::kBytesScanned, scanned);
+        // The mark phase spans both passes (the STW window included:
+        // its recheck is marking work; kStwNs isolates the stop itself).
+        const std::uint64_t mark_ns = monotonic_ns() - mark_t0;
+        stats_.add(Stat::kPhaseMarkNs, mark_ns);
+        metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseMark,
+                                         mark_ns, scanned);
+    }
+
+    // Perform deferred page-unmaps now that marking is done: every
+    // affected entry is still quarantined at this point, so this is safe
+    // and the pages have already been scanned.
+    const std::uint64_t drain_t0 = monotonic_ns();
+    reclaimer_.drain_pending();
+    const std::uint64_t drain_ns = monotonic_ns() - drain_t0;
+    stats_.add(Stat::kPhaseDrainNs, drain_ns);
+    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDrain,
+                                     drain_ns);
+
+    // Phase 3: walk the locked-in quarantine; release unmarked entries.
+    // Mark bits are clear when no mark ran, so every entry passes.
+    const unsigned nworkers =
+        workers_ != nullptr ? workers_->count() : 1;
+    std::vector<std::vector<Entry>> failed_per_worker(nworkers);
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::uint64_t> released_count{0};
+    std::atomic<std::uint64_t> released_bytes{0};
+    std::atomic<std::uint64_t> failed_count{0};
+    std::atomic<std::uint64_t> fill_checks{0};
+    std::atomic<std::uint64_t> fill_violations{0};
+
+    // Hardened policy: audit the quarantine fill of every entry about to
+    // be released. A byte that changed while the block sat unreferenced
+    // in quarantine is a write-after-free. Needs the fill to have been
+    // written in the first place, hence the zeroing gate; unmapped
+    // entries have no bytes to audit.
+    const auto check_fill =
+        config_.reclaim.zeroing ? config_.policy->check_free_fill : nullptr;
+
+    auto release_job = [&](unsigned index) {
+        // Sweep context with restore on exit: index 0 runs on the
+        // *calling* thread, which for emergency and watchdog-fallback
+        // sweeps is a mutator whose own watchdog checks must survive.
+        SweepController::ScopedSweepContext scoped;
+        constexpr std::size_t kBatch = 64;
+        for (;;) {
+            // msw-relaxed(work-cursor): batch ticket; only RMW
+            // atomicity matters, entries are read-only here.
+            const std::size_t start =
+                next.fetch_add(kBatch, std::memory_order_relaxed);
+            if (start >= locked_in.size())
+                break;
+            const std::size_t end =
+                std::min(start + kBatch, locked_in.size());
+            for (std::size_t i = start; i < end; ++i) {
+                const Entry& e = locked_in[i];
+                if (mark_bits_.test_range(e.real_base(), e.usable)) {
+                    // msw-relaxed(stat-cells): sweep tally; the join
+                    // below publishes it to the reader.
+                    failed_count.fetch_add(1, std::memory_order_relaxed);
+                    if (config_.keep_failed) {
+                        failed_per_worker[index].push_back(e);
+                        continue;
+                    }
+                }
+                if (check_fill != nullptr && !e.unmapped) {
+                    // msw-relaxed(stat-cells): sweep tally; the join
+                    // below publishes it to the reader.
+                    fill_checks.fetch_add(1, std::memory_order_relaxed);
+                    const void* bad = check_fill(to_ptr(e.real_base()),
+                                                 e.usable);
+                    if (bad != nullptr) {
+                        // msw-relaxed(stat-cells): sweep tally; the
+                        // join below publishes it to the reader.
+                        fill_violations.fetch_add(
+                            1, std::memory_order_relaxed);
+                        alloc::policy_violation(
+                            "quarantined memory tampered before release",
+                            bad);
+                    }
+                }
+                if (!reclaimer_.release_entry(e)) {
+                    // Could not restore access under pressure: keep the
+                    // entry quarantined; a later sweep retries.
+                    // msw-relaxed(stat-cells): sweep tally; the join
+                    // below publishes it to the reader.
+                    failed_count.fetch_add(1, std::memory_order_relaxed);
+                    failed_per_worker[index].push_back(e);
+                    continue;
+                }
+                // msw-relaxed(stat-cells): sweep tallies; the join
+                // below publishes them to the reader.
+                released_count.fetch_add(1, std::memory_order_relaxed);
+                released_bytes.fetch_add(e.usable,
+                                         std::memory_order_relaxed);
+            }
+        }
+    };
+    const std::uint64_t release_t0 = monotonic_ns();
+    if (workers_ != nullptr)
+        workers_->run(release_job);
+    else
+        release_job(0);
+    const std::uint64_t release_ns = monotonic_ns() - release_t0;
+    stats_.add(Stat::kPhaseReleaseNs, release_ns);
+
+    std::vector<Entry> failed;
+    for (auto& fv : failed_per_worker)
+        failed.insert(failed.end(), fv.begin(), fv.end());
+
+    // msw-relaxed(stat-cells): tallies read after the worker join,
+    // which publishes every worker's writes.
+    const std::uint64_t released_n =
+        released_count.load(std::memory_order_relaxed);
+    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,
+                                     release_ns, released_n);
+    stats_.add(Stat::kEntriesReleased, released_n);
+    // msw-relaxed(stat-cells): as above — post-join read.
+    stats_.add(Stat::kBytesReleased,
+               released_bytes.load(std::memory_order_relaxed));
+    // msw-relaxed(stat-cells): as above — post-join read.
+    stats_.add(Stat::kFailedFrees,
+               failed_count.load(std::memory_order_relaxed));
+    // msw-relaxed(stat-cells): as above — post-join read.
+    stats_.add(Stat::kSweepFillChecks,
+               fill_checks.load(std::memory_order_relaxed));
+    // msw-relaxed(stat-cells): as above — post-join read.
+    stats_.add(Stat::kCanaryViolations,
+               fill_violations.load(std::memory_order_relaxed));
+    mark_bits_.clear_marks();
+    quarantine_.store_failed(std::move(failed));
+
+    reclaimer_.end_scan();
+
+    // §4.5: full allocator purge synchronised with the end of the sweep.
+    if (config_.purging)
+        jade_.purge_all();
+
+    const std::uint64_t helpers1 =
+        workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
+    stats_.add(Stat::kSweepCpuNs, (sweep::thread_cpu_ns() - cpu0) +
+                                      (helpers1 - helpers0));
+    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepEnd,
+                                     monotonic_ns() - sweep_t0,
+                                     released_n);
+}
+
+SweepStats
+QuarantineRuntime::sweep_stats() const
+{
+    std::uint64_t v[kStatCount];
+    stats_.read_all(v);
+    const auto at = [&v](Stat s) { return v[static_cast<unsigned>(s)]; };
+    SweepStats s;
+    s.sweeps = controller_.sweeps_done();
+    s.entries_released = at(Stat::kEntriesReleased);
+    s.bytes_released = at(Stat::kBytesReleased);
+    s.failed_frees = at(Stat::kFailedFrees);
+    s.double_frees = at(Stat::kDoubleFrees);
+    s.bytes_scanned = at(Stat::kBytesScanned);
+    s.sweep_cpu_ns = at(Stat::kSweepCpuNs);
+    s.stw_ns = at(Stat::kStwNs);
+    s.pause_ns = at(Stat::kPauseNs);
+    s.unmapped_entries = at(Stat::kUnmappedEntries);
+    s.phase_dirty_scan_ns = at(Stat::kPhaseDirtyScanNs);
+    s.phase_mark_ns = at(Stat::kPhaseMarkNs);
+    s.phase_drain_ns = at(Stat::kPhaseDrainNs);
+    s.phase_release_ns = at(Stat::kPhaseReleaseNs);
+    s.emergency_sweeps = at(Stat::kEmergencySweeps);
+    s.commit_retries = at(Stat::kCommitRetries);
+    s.watchdog_fallbacks = at(Stat::kWatchdogFallbacks);
+    s.oom_returns = at(Stat::kOomReturns);
+    s.canary_checks = at(Stat::kCanaryChecks);
+    s.canary_violations = at(Stat::kCanaryViolations);
+    s.sweep_fill_checks = at(Stat::kSweepFillChecks);
+    s.release_shuffles = at(Stat::kReleaseShuffles);
+    for (unsigned i = 0; i < util::kNumFailpoints; ++i)
+        s.failpoint_hits[i] =
+            util::failpoint_hits(static_cast<util::Failpoint>(i));
+    return s;
 }
 
 void

@@ -2,28 +2,28 @@
  * @file
  * The layered UAF-runtime base classes.
  *
- * Every system under evaluation used to re-implement the same plumbing by
- * hand (MarkUs duplicated MineSweeper's hooks, epochs, root registration
- * and stats surface almost line for line). The hierarchy now is:
- *
  *   alloc::Allocator                    the drop-in malloc interface
  *     └─ RuntimeBase                    sharded statistics surface
  *          ├─ FFMalloc                  (one-time allocator; no quarantine)
  *          └─ QuarantineRuntime         jade substrate + quarantine epochs
  *               │                       + committed-page hooks + roots
  *               │                       + reclaimer + sweep controller
- *               ├─ MineSweeper          linear sweep (paper §3–§4)
- *               └─ MarkUs               transitive conservative marking
+ *               │                       + the sweep pass itself
+ *               ├─ MineSweeper          linear mark (paper §3–§4)
+ *               └─ MarkUs               transitive conservative mark
  *
- * QuarantineRuntime owns the *mechanism* layers extracted from the old
- * god-object — SweepController (when sweeps run), Reclaimer (how memory
- * comes back) and StatCells (how the fast path counts) — while the
- * derived classes keep only their *policy*: what a sweep/mark pass
- * actually does and when to trigger one.
+ * QuarantineRuntime owns the whole sweep pass, written once: lock in the
+ * quarantine epoch, arm the dirty tracker, mark concurrently, recheck
+ * dirty pages, stacks and registers with the world stopped, drain
+ * deferred unmaps, release every unmarked entry and keep the rest as
+ * failed frees, purge. It also owns the layers that pass runs on —
+ * SweepController (when sweeps run), Reclaimer (how memory comes back),
+ * StatCells (how everything counts) — so both runtimes are timed and
+ * counted by the same code. A derived class owns only its mark (the
+ * initial scan set and the mark(ranges) hook) and its trigger policy.
  */
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,8 +37,45 @@
 #include "sweep/page_access_map.h"
 #include "sweep/roots.h"
 #include "sweep/shadow_map.h"
+#include "sweep/sweeper.h"
+#include "util/failpoint.h"
 
 namespace msw::core {
+
+/** Counters describing sweeping activity (Fig 12, Fig 14 inputs). */
+struct SweepStats {
+    std::uint64_t sweeps = 0;
+    std::uint64_t entries_released = 0;
+    std::uint64_t bytes_released = 0;
+    std::uint64_t failed_frees = 0;      ///< Entry-test failures (cumulative).
+    std::uint64_t double_frees = 0;
+    std::uint64_t bytes_scanned = 0;     ///< Total marking traffic.
+    std::uint64_t sweep_cpu_ns = 0;      ///< Sweeper + helper CPU time.
+    std::uint64_t stw_ns = 0;            ///< Total stop-the-world time.
+    std::uint64_t pause_ns = 0;          ///< Allocation-pausing wait time.
+    std::uint64_t unmapped_entries = 0;  ///< Large allocations unmapped.
+
+    // Sweep-phase breakdown (telemetry layer; subsets of sweep_cpu_ns).
+    std::uint64_t phase_dirty_scan_ns = 0;  ///< Write-tracker arming.
+    std::uint64_t phase_mark_ns = 0;        ///< Both mark passes.
+    std::uint64_t phase_drain_ns = 0;       ///< Deferred-free drain.
+    std::uint64_t phase_release_ns = 0;     ///< Entry test + release batches.
+
+    // Resilience counters (memory-pressure degradation + watchdog).
+    std::uint64_t emergency_sweeps = 0;   ///< Reclaims run from alloc().
+    std::uint64_t commit_retries = 0;     ///< alloc() retries after failure.
+    std::uint64_t watchdog_fallbacks = 0; ///< Synchronous watchdog sweeps.
+    std::uint64_t oom_returns = 0;        ///< alloc() nullptr returns.
+
+    // Hardened-policy counters (zero under the default policy).
+    std::uint64_t canary_checks = 0;      ///< free()-time canary tests.
+    std::uint64_t canary_violations = 0;  ///< Tampered canaries/fills seen.
+    std::uint64_t sweep_fill_checks = 0;  ///< Release-time fill audits.
+    std::uint64_t release_shuffles = 0;   ///< Randomized release batches.
+
+    /** Process-global failpoint fire counts, indexed by util::Failpoint. */
+    std::uint64_t failpoint_hits[util::kNumFailpoints] = {};
+};
 
 /**
  * Statistics surface shared by every UAF runtime: a sharded counter block
@@ -60,9 +97,9 @@ class RuntimeBase : public alloc::Allocator
 /**
  * Shared plumbing for quarantine-based runtimes sitting on the JadeHeap
  * substrate: the committed-page hooks, the quarantine epochs and
- * double-free bitmap, root/thread registration, the reclaimer and the
- * sweep controller. Derived classes provide the sweep function and the
- * trigger policy.
+ * double-free bitmap, root/thread registration, the reclaimer, the sweep
+ * controller and the sweep pass. Derived classes provide the mark
+ * (scan_set() + mark()) and the trigger policy.
  */
 class QuarantineRuntime : public RuntimeBase
 {
@@ -76,6 +113,16 @@ class QuarantineRuntime : public RuntimeBase
         bool make_tracker = false;
         /** Report absorbed double frees to stderr (debug mode, §3). */
         bool report_double_frees = false;
+        /** Mark before releasing; false releases every locked-in entry
+            unconditionally (§5.5 partial versions 3-4). */
+        bool sweep_enabled = true;
+        /** Keep marked entries quarantined as failed frees; false
+            releases them anyway (§5.5 version 5; unsafe). */
+        bool keep_failed = true;
+        /** Full allocator purge after every sweep (§4.5). */
+        bool purging = true;
+        /** Helper threads sharing the mark and release (§4.4). */
+        unsigned helper_threads = 0;
         /**
          * Allocation policy for the whole runtime (substrate placement,
          * quarantine fill/canary, release ordering). The constructor
@@ -113,6 +160,11 @@ class QuarantineRuntime : public RuntimeBase
     /** Complete any in-flight sweep and flush quarantine buffers. */
     void flush() override;
 
+    /** Trigger a sweep now and wait for it to complete. */
+    void force_sweep();
+
+    SweepStats sweep_stats() const;
+
     /** True while an allocation with this base is quarantined. */
     bool
     in_quarantine(const void* ptr) const
@@ -141,12 +193,21 @@ class QuarantineRuntime : public RuntimeBase
 
   protected:
     /**
-     * @param sweep_fn One full sweep/mark pass; stored, not invoked — the
-     *        derived constructor calls controller_.start() once every
-     *        member the pass touches exists.
+     * The derived constructor calls controller_.start() once every member
+     * its mark touches exists, and its destructor calls
+     * controller_.shutdown() before those members die.
      */
-    QuarantineRuntime(const Config& config,
-                      std::function<void()> sweep_fn);
+    explicit QuarantineRuntime(const Config& config);
+
+    /** The ranges the concurrent mark pass starts from. */
+    virtual std::vector<sweep::Range> scan_set() const = 0;
+
+    /**
+     * Mark every quarantined allocation referenced from @p ranges in
+     * mark_bits_; called once concurrently and once with the world
+     * stopped (mostly-concurrent). Returns the bytes scanned.
+     */
+    virtual std::uint64_t mark(const std::vector<sweep::Range>& ranges) = 0;
 
     /** A freed pointer resolved against the substrate's metadata. */
     struct FreeTarget {
@@ -175,9 +236,13 @@ class QuarantineRuntime : public RuntimeBase
     std::unique_ptr<sweep::DirtyTracker> tracker_;
     Reclaimer reclaimer_;
     SweepController controller_;
+    std::unique_ptr<sweep::SweepWorkers> workers_;  ///< Null: no helpers.
 
   private:
     class Hooks;
+
+    /** One sweep pass: lock in, mark, STW recheck, drain, release. */
+    void run_sweep();
 
     std::unique_ptr<Hooks> hooks_;
 };

@@ -101,8 +101,10 @@ class SweepController
     bool run_sweep_now();
 
     /**
-     * Request a sweep and wait for one to complete, sweeping on the
-     * calling thread if the background sweeper misses the deadline.
+     * Request a sweep and wait for one that starts after this call to
+     * complete (a sweep already in flight may have marked before the
+     * caller's last writes), sweeping on the calling thread if the
+     * background sweeper misses the deadline.
      */
     void force_sweep();
 
@@ -206,6 +208,9 @@ class SweepController
     std::condition_variable_any sweep_cv_;
     std::condition_variable_any sweep_done_cv_;
     bool sweep_requested_ MSW_GUARDED_BY(sweep_mu_) = false;
+    /** Sweeps begun; the token serializes them, so the n-th started
+     *  sweep is the n-th to bump sweeps_done_. */
+    std::uint64_t sweeps_started_ MSW_GUARDED_BY(sweep_mu_) = 0;
     bool shutdown_ MSW_GUARDED_BY(sweep_mu_) = false;
     /** prepare_fork() claimed sweep_in_progress_; the after-fork hooks
      *  must release it. Written only with sweep_mu_ held. */

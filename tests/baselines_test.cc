@@ -52,7 +52,7 @@ TEST_F(MarkUsTest, UnreachableAllocationIsCollected)
 {
     void* p = mu.alloc(64);
     mu.free(p);
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_FALSE(mu.in_quarantine(p));
 }
 
@@ -61,10 +61,10 @@ TEST_F(MarkUsTest, RootReachableAllocationStaysQuarantined)
     void* p = mu.alloc(64);
     roots.slot[0] = p;
     mu.free(p);
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_TRUE(mu.in_quarantine(p));
     roots.slot[0] = nullptr;
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_FALSE(mu.in_quarantine(p));
 }
 
@@ -77,11 +77,11 @@ TEST_F(MarkUsTest, TransitiveReachabilityPins)
     a[0] = b;
     roots.slot[0] = a;
     mu.free(b);
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_TRUE(mu.in_quarantine(b))
         << "b is reachable transitively via live object a";
     a[0] = nullptr;
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_FALSE(mu.in_quarantine(b));
     roots.slot[0] = nullptr;
     mu.free(a);
@@ -97,7 +97,7 @@ TEST_F(MarkUsTest, UnreachableCycleIsCollected)
     b[0] = a;
     mu.free(a);
     mu.free(b);
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_FALSE(mu.in_quarantine(a));
     EXPECT_FALSE(mu.in_quarantine(b));
 }
@@ -111,11 +111,11 @@ TEST_F(MarkUsTest, ReachableCycleStays)
     roots.slot[0] = a;
     mu.free(a);
     mu.free(b);
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_TRUE(mu.in_quarantine(a));
     EXPECT_TRUE(mu.in_quarantine(b)) << "b reachable via quarantined a";
     roots.slot[0] = nullptr;
-    mu.force_mark();
+    mu.force_sweep();
     EXPECT_FALSE(mu.in_quarantine(a));
     EXPECT_FALSE(mu.in_quarantine(b));
 }
@@ -138,7 +138,7 @@ TEST_F(MarkUsTest, DoubleFreeAbsorbed)
     void* p = mu.alloc(64);
     mu.free(p);
     mu.free(p);
-    mu.force_mark();
+    mu.force_sweep();
     void* q = mu.alloc(64);
     ASSERT_NE(q, nullptr);
     mu.free(q);
@@ -147,15 +147,21 @@ TEST_F(MarkUsTest, DoubleFreeAbsorbed)
 TEST_F(MarkUsTest, ChurnReleasesMemory)
 {
     Rng rng(4);
-    for (int i = 0; i < 20000; ++i) {
+    constexpr std::uint64_t kFrees = 20000;
+    for (std::uint64_t i = 0; i < kFrees; ++i) {
         void* p = mu.alloc(1 + rng.next_below(500));
         mu.free(p);
     }
     mu.flush();
-    mu.force_mark();
+    mu.force_sweep();
     const auto s = mu.stats();
     EXPECT_GT(s.sweeps, 0u);
     EXPECT_LT(s.quarantine_bytes, 8u << 20);
+    // MarkUs passes are counted like MineSweeper sweeps.
+    const core::SweepStats st = mu.sweep_stats();
+    EXPECT_GT(st.entries_released, 0u);
+    EXPECT_GT(st.bytes_scanned, 0u);
+    EXPECT_LE(st.entries_released, kFrees);
 }
 
 // ------------------------------------------------------------ FFMalloc

@@ -1,13 +1,17 @@
 // Mode- and option-matrix tests: fully/mostly concurrent and synchronous
 // sweeps, the ablation toggles (§5.4), the partial versions (§5.5), and
-// the mostly-concurrent moved-pointer guarantee.
+// the moved-pointer guarantee of every runtime with an STW recheck.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/markus.h"
 #include "core/minesweeper.h"
 #include "util/rng.h"
 
@@ -109,23 +113,40 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ModeTest,
 
 // ------------------------------------------------- mostly-concurrent STW
 
-TEST(MostlyConcurrent, MovedPointerIsStillFound)
+// Every quarantine runtime with a stop-the-world recheck: mostly-
+// concurrent MineSweeper and MarkUs run the same sweep pass.
+struct StwRuntime {
+    const char* name;
+    std::unique_ptr<QuarantineRuntime> (*make)();
+};
+
+void
+PrintTo(const StwRuntime& r, std::ostream* os)
+{
+    *os << r.name;
+}
+
+class MostlyConcurrentRuntime : public ::testing::TestWithParam<StwRuntime>
+{
+};
+
+TEST_P(MostlyConcurrentRuntime, MovedPointerIsStillFound)
 {
     // A mutator thread continuously moves the only copy of a dangling
-    // pointer between two root slots while sweeps run. The mostly-
-    // concurrent mode guarantees the pointer is found regardless (§4.3):
-    // the allocation must never be released while a copy exists.
-    MineSweeper ms(base_options(Mode::kMostlyConcurrent));
+    // pointer between two root slots while sweeps run. The STW recheck
+    // guarantees the pointer is found regardless (§4.3): the allocation
+    // must never be released while a copy exists.
+    const std::unique_ptr<QuarantineRuntime> rt = GetParam().make();
     Roots roots;
-    ms.add_root(&roots, sizeof(roots));
+    rt->add_root(&roots, sizeof(roots));
 
-    void* victim = ms.alloc(64);
+    void* victim = rt->alloc(64);
     roots.slot[0] = victim;
-    ms.free(victim);
+    rt->free(victim);
 
     std::atomic<bool> stop{false};
     std::thread mover([&] {
-        ms.register_mutator_thread();
+        rt->register_mutator_thread();
         bool at_zero = true;
         while (!stop.load(std::memory_order_relaxed)) {
             if (at_zero) {
@@ -138,21 +159,39 @@ TEST(MostlyConcurrent, MovedPointerIsStillFound)
             }
             at_zero = !at_zero;
         }
-        ms.unregister_mutator_thread();
+        rt->unregister_mutator_thread();
     });
 
     for (int i = 0; i < 10; ++i) {
-        ms.force_sweep();
-        ASSERT_TRUE(ms.in_quarantine(victim))
+        rt->force_sweep();
+        ASSERT_TRUE(rt->in_quarantine(victim))
             << "moved dangling pointer lost on sweep " << i;
     }
     stop.store(true);
     mover.join();
     roots.slot[0] = nullptr;
     roots.slot[63] = nullptr;
-    ms.force_sweep();
-    EXPECT_FALSE(ms.in_quarantine(victim));
+    rt->force_sweep();
+    EXPECT_FALSE(rt->in_quarantine(victim));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Runtimes, MostlyConcurrentRuntime,
+    ::testing::Values(
+        StwRuntime{"minesweeper",
+                   []() -> std::unique_ptr<QuarantineRuntime> {
+                       return std::make_unique<MineSweeper>(
+                           base_options(Mode::kMostlyConcurrent));
+                   }},
+        StwRuntime{"markus",
+                   []() -> std::unique_ptr<QuarantineRuntime> {
+                       baseline::MarkUs::Options o;
+                       o.jade.heap_bytes = std::size_t{1} << 30;
+                       return std::make_unique<baseline::MarkUs>(o);
+                   }}),
+    [](const ::testing::TestParamInfo<StwRuntime>& info) {
+        return std::string(info.param.name);
+    });
 
 TEST(MostlyConcurrent, RegisterHeldPointerIsFoundDuringStw)
 {

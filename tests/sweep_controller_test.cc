@@ -73,6 +73,45 @@ TEST(SweepControllerTest, ForceSweepWaitsForCompletion)
     EXPECT_GE(runs.load(), 5);
 }
 
+TEST(SweepControllerTest, ForceSweepWaitsOutASweepAlreadyInFlight)
+{
+    // A sweep that began before force_sweep() may have read the heap
+    // before the caller's last writes; force_sweep() must not return on
+    // its completion but on that of a sweep begun after the call.
+    StatCells stats;
+    std::atomic<bool> hold{true};
+    std::atomic<bool> entered{false};
+    std::atomic<int> state{0};
+    std::atomic<int> last_seen{-1};
+    SweepController::Config cfg;
+    SweepController ctl(
+        cfg,
+        [&] {
+            const int seen = state.load();
+            entered.store(true);
+            while (hold.load())
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            // Every sweep takes a while, so a follow-up sweep is still
+            // running when the in-flight one completes.
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            last_seen.store(seen);
+        },
+        &stats);
+    ctl.start();
+
+    ctl.request_sweep(false);
+    while (!entered.load())
+        std::this_thread::yield();
+    state.store(1);  // the in-flight sweep already read 0
+    std::thread releaser([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        hold.store(false);
+    });
+    ctl.force_sweep();
+    EXPECT_EQ(last_seen.load(), 1);
+    releaser.join();
+}
+
 TEST(SweepControllerTest, SingleSweeperInvariant)
 {
     StatCells stats;

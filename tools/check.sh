@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build-and-test matrix for local verification:
 #   1. default build + full test suite (the tier-1 gate), then the
-#      hardened-policy label (-L hardened) on the same build;
+#      hardened-policy label (-L hardened) on the same build and the
+#      benchmark's unit tests (perfbench/tests);
 #   2. MSW_THREAD_SAFETY=ON with clang++ (thread-safety analysis is a
 #      Clang feature) — compile-only, -Werror=thread-safety;
 #   3. MSW_SANITIZE=address,undefined + full test suite, then the
@@ -42,6 +43,9 @@ fi
 if ! (cd "$repo/build-check" && ctest --output-on-failure -j "$(nproc)" \
           -L hardened); then
     failures+=("hardened")
+fi
+if ! (cd "$repo" && python3 -m unittest discover -s perfbench/tests); then
+    failures+=("perfbench-tests")
 fi
 
 if [ "$quick" = "0" ]; then
