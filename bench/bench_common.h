@@ -36,7 +36,7 @@ using workload::SystemKind;
  * is renamed or removed (additions do not bump it). Plot/CI tooling
  * checks this instead of sniffing key presence.
  */
-inline constexpr int kBenchSchemaVersion = 1;
+inline constexpr int kBenchSchemaVersion = 2;
 
 /** Build provenance: `git describe` captured at configure time. */
 inline const char*

@@ -26,13 +26,13 @@
 #include "bench/bench_common.h"
 #include "core/minesweeper.h"
 #include "core/stat_cells.h"
-#include "core/sweep_controller.h"
 #include "metrics/metrics.h"
+#include "util/clock.h"
 
 namespace {
 
 using msw::core::MineSweeper;
-using msw::core::monotonic_ns;
+using msw::util::now_ns;
 using msw::core::Stat;
 using msw::core::StatCells;
 
@@ -59,11 +59,11 @@ run_threads(unsigned nthreads, Body&& body)
             body(t);
         });
     }
-    const std::uint64_t t0 = monotonic_ns();
+    const std::uint64_t t0 = now_ns();
     go.store(true, std::memory_order_release);
     for (auto& t : threads)
         t.join();
-    return monotonic_ns() - t0;
+    return now_ns() - t0;
 }
 
 double
@@ -114,10 +114,10 @@ bench_read_cost()
     cells.add(Stat::kAllocCalls, 7);
     constexpr std::uint64_t kReads = 2'000'000;
     std::uint64_t sink = 0;
-    const std::uint64_t t0 = monotonic_ns();
+    const std::uint64_t t0 = now_ns();
     for (std::uint64_t i = 0; i < kReads; ++i)
         sink += cells.read(Stat::kAllocCalls);
-    const std::uint64_t ns = monotonic_ns() - t0;
+    const std::uint64_t ns = now_ns() - t0;
     if (sink == 0)
         std::fprintf(stderr, "unreachable\n");
     return mops(kReads, ns);

@@ -5,7 +5,8 @@
  * Runs the long-running request/response workload (workload/server.h)
  * against all four runtimes and reports the *distribution* of
  * per-operation latency — p50/p90/p99/p999/max — alongside the sweep
- * pause breakdown (backpressure pauses, STW windows, per-phase totals).
+ * pause breakdown (allocation-pause and STW digests, per-phase totals
+ * and the whole-sweep wall total that bounds them).
  * Batch benchmarks answer "how much slower"; this one answers "where do
  * the pauses land", which is the question a latency-sensitive service
  * asks of a drop-in UAF mitigation.
@@ -85,7 +86,8 @@ main()
 
     // Human-readable summary.
     metrics::Table table({"system", "ops", "p50_ns", "p90_ns", "p99_ns",
-                          "p999_ns", "max_ns", "pauses", "stw_ms"});
+                          "p999_ns", "max_ns", "alloc_pauses", "stws",
+                          "stw_ms"});
     for (const SystemColumn& sys : systems) {
         const RunRecord& r = runs[sys.label];
         const auto cell = [](std::uint64_t v) {
@@ -100,7 +102,8 @@ main()
                        cell(r.op_latency.p99_ns),
                        cell(r.op_latency.p999_ns),
                        cell(r.op_latency.max_ns),
-                       cell(r.sweep_pause.count),
+                       cell(r.alloc_pause.count),
+                       cell(r.stw_pause.count),
                        metrics::fmt_seconds(
                            static_cast<double>(r.stw_total_ns) * 1e-6)});
     }
@@ -129,7 +132,8 @@ main()
         std::fprintf(json, "      \"sweeps\": %llu,\n",
                      static_cast<unsigned long long>(r.sweeps));
         json_latency(json, "op_latency_ns", r.op_latency, ",");
-        json_latency(json, "sweep_pause_ns", r.sweep_pause, ",");
+        json_latency(json, "alloc_pause_ns", r.alloc_pause, ",");
+        json_latency(json, "stw_pause_ns", r.stw_pause, ",");
         std::fprintf(json, "      \"pause_total_ns\": %llu,\n",
                      static_cast<unsigned long long>(r.pause_total_ns));
         std::fprintf(json, "      \"stw_total_ns\": %llu,\n",
@@ -142,8 +146,10 @@ main()
         std::fprintf(json, "      \"phase_drain_ns\": %llu,\n",
                      static_cast<unsigned long long>(r.phase_drain_ns));
         std::fprintf(
-            json, "      \"phase_release_ns\": %llu\n",
+            json, "      \"phase_release_ns\": %llu,\n",
             static_cast<unsigned long long>(r.phase_release_ns));
+        std::fprintf(json, "      \"sweep_wall_ns\": %llu\n",
+                     static_cast<unsigned long long>(r.sweep_wall_ns));
         std::fprintf(json, "    }%s\n",
                      i + 1 == systems.size() ? "" : ",");
     }

@@ -1,23 +1,14 @@
 #include "alloc/extent_allocator.h"
 
 #include <atomic>
-#include <ctime>
 
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 
 namespace msw::alloc {
-
-std::uint64_t
-monotonic_ms()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000u +
-           static_cast<std::uint64_t>(ts.tv_nsec) / 1000000u;
-}
 
 ExtentAllocator::ExtentAllocator(std::size_t heap_bytes,
                                  std::uint64_t decay_ms)
@@ -103,7 +94,7 @@ void
 ExtentAllocator::insert_free(ExtentMeta* e)
 {
     e->kind = ExtentKind::kFree;
-    e->freed_at_ms = monotonic_ms();
+    e->freed_at_ms = util::now_ns() / 1000000;
     free_buckets_[bucket_for(e->pages)].push_front(e);
     mark_free_boundaries(e);
 }
@@ -287,7 +278,7 @@ ExtentAllocator::free_extent(ExtentMeta* e)
     insert_free(e);
 
     if (decay_ms_ != 0) {
-        const std::uint64_t now = monotonic_ms();
+        const std::uint64_t now = util::now_ns() / 1000000;
         if (now - last_decay_check_ms_ >= 250) {
             last_decay_check_ms_ = now;
             decay_pass_locked(now);
@@ -312,7 +303,7 @@ void
 ExtentAllocator::decay_tick()
 {
     LockGuard g(lock_);
-    decay_pass_locked(monotonic_ms());
+    decay_pass_locked(util::now_ns() / 1000000);
 }
 
 void

@@ -227,7 +227,4 @@ class ExtentAllocator
     std::uint64_t purge_count_ MSW_GUARDED_BY(lock_) = 0;
 };
 
-/** Monotonic milliseconds used for decay timestamps. */
-std::uint64_t monotonic_ms();
-
 }  // namespace msw::alloc

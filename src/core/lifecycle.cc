@@ -8,11 +8,11 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 
 #include "core/minesweeper.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/failpoint.h"
 #include "util/lock_rank.h"
 #include "util/rng.h"
@@ -58,10 +58,7 @@ atfork_prepare() MSW_NO_THREAD_SAFETY_ANALYSIS
     // Test hook: hold the fully-locked prepare window open so fork
     // races (concurrent mallocs, thread exits) pile up against it.
     if (util::failpoint_should_fail(util::Failpoint::kForkPrepare)) {
-        struct timespec ts {
-            0, 1000000
-        };
-        ::nanosleep(&ts, nullptr);
+        util::sleep_ns(1000000);
     }
     // Last: kMetrics (60) is the highest band in the hierarchy.
     util::failpoint_prepare_fork();

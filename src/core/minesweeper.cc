@@ -8,6 +8,7 @@
 #include "core/lifecycle.h"
 #include "metrics/telemetry.h"
 #include "util/bits.h"
+#include "util/clock.h"
 #include "util/log.h"
 
 namespace msw::core {
@@ -73,7 +74,7 @@ MineSweeper::alloc(std::size_t size)
     // Telemetry op sampling (MSW_TELEMETRY=ops): off means one relaxed
     // load and a predicted-not-taken branch; on costs two clock reads.
     const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
-    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    const std::uint64_t t0 = timed ? util::now_ns() : 0;
     stats_.add(Stat::kAllocCalls);
     controller_.maybe_pause();
     // +1 byte so one-past-the-end pointers stay inside the allocation
@@ -88,7 +89,7 @@ MineSweeper::alloc(std::size_t size)
     if (__builtin_expect(arm != nullptr, 0) && p != nullptr)
         arm(p, jade_.usable_size(p));
     if (__builtin_expect(timed, 0))
-        metrics::telemetry().alloc_ns.record(monotonic_ns() - t0);
+        metrics::telemetry().alloc_ns.record(util::now_ns() - t0);
     return p;
 }
 
@@ -96,7 +97,7 @@ void*
 MineSweeper::alloc_aligned(std::size_t alignment, std::size_t size)
 {
     const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
-    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    const std::uint64_t t0 = timed ? util::now_ns() : 0;
     stats_.add(Stat::kAllocCalls);
     controller_.maybe_pause();
     void* p = jade_.alloc_aligned(alignment, size + 1);
@@ -106,7 +107,7 @@ MineSweeper::alloc_aligned(std::size_t alignment, std::size_t size)
     if (__builtin_expect(arm != nullptr, 0) && p != nullptr)
         arm(p, jade_.usable_size(p));
     if (__builtin_expect(timed, 0))
-        metrics::telemetry().alloc_ns.record(monotonic_ns() - t0);
+        metrics::telemetry().alloc_ns.record(util::now_ns() - t0);
     return p;
 }
 
@@ -198,9 +199,9 @@ MineSweeper::free(void* ptr)
         free_impl(ptr);
         return;
     }
-    const std::uint64_t t0 = monotonic_ns();
+    const std::uint64_t t0 = util::now_ns();
     free_impl(ptr);
-    metrics::telemetry().free_ns.record(monotonic_ns() - t0);
+    metrics::telemetry().free_ns.record(util::now_ns() - t0);
 }
 
 void

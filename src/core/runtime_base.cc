@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ctime>
+#include <utility>
 
 #include "alloc/extent.h"
 #include "alloc/policy.h"
@@ -13,6 +13,7 @@
 #include "metrics/telemetry.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/log.h"
 
 namespace msw::core {
@@ -22,7 +23,35 @@ using alloc::ExtentMeta;
 using quarantine::Entry;
 using sweep::Range;
 
+using metrics::TraceEvent;
+
 namespace {
+
+/**
+ * One release worker's tallies, kept on its own stack and summed after
+ * the join, as Marker::mark_ranges sums MarkStats.
+ */
+struct ReleaseTally {
+    std::uint64_t released = 0;
+    std::uint64_t released_bytes = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t fill_checks = 0;
+    std::uint64_t fill_violations = 0;
+    std::vector<Entry> failed_entries;
+
+    void
+    add(const ReleaseTally& o)
+    {
+        released += o.released;
+        released_bytes += o.released_bytes;
+        failed += o.failed;
+        fill_checks += o.fill_checks;
+        fill_violations += o.fill_violations;
+        failed_entries.insert(failed_entries.end(),
+                              o.failed_entries.begin(),
+                              o.failed_entries.end());
+    }
+};
 
 /** Quarantine release-order adapter: the quarantine layer knows nothing
     of AllocPolicy, so the hook arrives as fn-pointer + context. */
@@ -221,42 +250,42 @@ QuarantineRuntime::run_sweep()
     if (config_.policy->shuffle != nullptr)
         stats_.add(Stat::kReleaseShuffles);
 
-    const std::uint64_t cpu0 = sweep::thread_cpu_ns();
+    const std::uint64_t cpu0 = util::thread_cpu_ns();
     const std::uint64_t helpers0 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    // Phase timers (telemetry layer): the sweep is the slow path by
-    // construction, so the handful of clock reads below are recorded
-    // unconditionally; only trace-ring pushes are gated.
-    const std::uint64_t sweep_t0 = monotonic_ns();
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
-                                     locked_in.size());
+    metrics::Telemetry& tele = metrics::telemetry();
+    tele.trace_event(TraceEvent::kSweepBegin, locked_in.size());
+    PhaseScope whole(stats_, Stat::kSweepWallNs, TraceEvent::kSweepEnd);
 
     if (config_.sweep_enabled) {
-        // Phase 1a (dirty-scan): arm the write tracker over the ranges
-        // whose mutations the STW recheck must observe.
-        const std::uint64_t dirty_t0 = monotonic_ns();
-        if (tracker_ != nullptr) {
-            std::vector<Range> tracked = access_map_.committed_runs();
-            if (tracker_->tracks_arbitrary_memory()) {
-                for (const Range& r : roots_.roots())
-                    tracked.push_back(r);
+        {
+            // Phase 1a (dirty-scan): arm the write tracker over the
+            // ranges whose mutations the STW recheck must observe.
+            PhaseScope dirty(stats_, Stat::kPhaseDirtyScanNs,
+                             TraceEvent::kPhaseDirtyScan);
+            if (tracker_ != nullptr) {
+                std::vector<Range> tracked = access_map_.committed_runs();
+                if (tracker_->tracks_arbitrary_memory()) {
+                    for (const Range& r : roots_.roots())
+                        tracked.push_back(r);
+                }
+                tracker_->begin(tracked);
             }
-            tracker_->begin(tracked);
         }
-        const std::uint64_t dirty_ns = monotonic_ns() - dirty_t0;
-        stats_.add(Stat::kPhaseDirtyScanNs, dirty_ns);
-        metrics::telemetry().trace_event(
-            metrics::TraceEvent::kPhaseDirtyScan, dirty_ns);
 
         // Phase 1b (mark): concurrent mark from the runtime's scan set,
-        // plus the STW recheck when tracking.
-        const std::uint64_t mark_t0 = monotonic_ns();
+        // plus the STW recheck when tracking. The mark phase spans both
+        // passes (the STW window included: its recheck is marking work;
+        // kStwNs isolates the stop itself).
+        PhaseScope marking(stats_, Stat::kPhaseMarkNs,
+                           TraceEvent::kPhaseMark);
         std::uint64_t scanned = mark(scan_set());
 
         if (tracker_ != nullptr) {
             // Phase 2 (mostly-concurrent only): brief stop-the-world
             // recheck of pages modified during phase 1 (§4.3).
-            const std::uint64_t t0 = monotonic_ns();
+            PhaseScope stw(stats_, Stat::kStwNs, TraceEvent::kStwPause,
+                           &tele.stw_ns);
             roots_.stop_world();
             std::vector<Range> rescan;
             tracker_->end_collect(rescan);
@@ -270,42 +299,22 @@ QuarantineRuntime::run_sweep()
                 rescan.push_back(r);
             scanned += mark(rescan);
             roots_.resume_world();
-            const std::uint64_t stw_ns = monotonic_ns() - t0;
-            stats_.add(Stat::kStwNs, stw_ns);
-            metrics::telemetry().trace_event(
-                metrics::TraceEvent::kStwPause, stw_ns);
         }
         stats_.add(Stat::kBytesScanned, scanned);
-        // The mark phase spans both passes (the STW window included:
-        // its recheck is marking work; kStwNs isolates the stop itself).
-        const std::uint64_t mark_ns = monotonic_ns() - mark_t0;
-        stats_.add(Stat::kPhaseMarkNs, mark_ns);
-        metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseMark,
-                                         mark_ns, scanned);
+        marking.set_arg(scanned);
     }
 
-    // Perform deferred page-unmaps now that marking is done: every
-    // affected entry is still quarantined at this point, so this is safe
-    // and the pages have already been scanned.
-    const std::uint64_t drain_t0 = monotonic_ns();
-    reclaimer_.drain_pending();
-    const std::uint64_t drain_ns = monotonic_ns() - drain_t0;
-    stats_.add(Stat::kPhaseDrainNs, drain_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDrain,
-                                     drain_ns);
+    {
+        // Perform deferred page-unmaps now that marking is done: every
+        // affected entry is still quarantined at this point, so this is
+        // safe and the pages have already been scanned.
+        PhaseScope drain(stats_, Stat::kPhaseDrainNs,
+                         TraceEvent::kPhaseDrain);
+        reclaimer_.drain_pending();
+    }
 
     // Phase 3: walk the locked-in quarantine; release unmarked entries.
     // Mark bits are clear when no mark ran, so every entry passes.
-    const unsigned nworkers =
-        workers_ != nullptr ? workers_->count() : 1;
-    std::vector<std::vector<Entry>> failed_per_worker(nworkers);
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> released_count{0};
-    std::atomic<std::uint64_t> released_bytes{0};
-    std::atomic<std::uint64_t> failed_count{0};
-    std::atomic<std::uint64_t> fill_checks{0};
-    std::atomic<std::uint64_t> fill_violations{0};
-
     // Hardened policy: audit the quarantine fill of every entry about to
     // be released. A byte that changed while the block sat unreferenced
     // in quarantine is a write-after-free. Needs the fill to have been
@@ -313,13 +322,16 @@ QuarantineRuntime::run_sweep()
     // entries have no bytes to audit.
     const auto check_fill =
         config_.reclaim.zeroing ? config_.policy->check_free_fill : nullptr;
-
+    std::vector<ReleaseTally> per_worker(
+        workers_ != nullptr ? workers_->count() : 1);
+    std::atomic<std::size_t> next{0};
     auto release_job = [&](unsigned index) {
         // Sweep context with restore on exit: index 0 runs on the
         // *calling* thread, which for emergency and watchdog-fallback
         // sweeps is a mutator whose own watchdog checks must survive.
         SweepController::ScopedSweepContext scoped;
         constexpr std::size_t kBatch = 64;
+        ReleaseTally t;
         for (;;) {
             // msw-relaxed(work-cursor): batch ticket; only RMW
             // atomicity matters, entries are read-only here.
@@ -332,25 +344,18 @@ QuarantineRuntime::run_sweep()
             for (std::size_t i = start; i < end; ++i) {
                 const Entry& e = locked_in[i];
                 if (mark_bits_.test_range(e.real_base(), e.usable)) {
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    failed_count.fetch_add(1, std::memory_order_relaxed);
+                    ++t.failed;
                     if (config_.keep_failed) {
-                        failed_per_worker[index].push_back(e);
+                        t.failed_entries.push_back(e);
                         continue;
                     }
                 }
                 if (check_fill != nullptr && !e.unmapped) {
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    fill_checks.fetch_add(1, std::memory_order_relaxed);
+                    ++t.fill_checks;
                     const void* bad = check_fill(to_ptr(e.real_base()),
                                                  e.usable);
                     if (bad != nullptr) {
-                        // msw-relaxed(stat-cells): sweep tally; the
-                        // join below publishes it to the reader.
-                        fill_violations.fetch_add(
-                            1, std::memory_order_relaxed);
+                        ++t.fill_violations;
                         alloc::policy_violation(
                             "quarantined memory tampered before release",
                             bad);
@@ -359,53 +364,37 @@ QuarantineRuntime::run_sweep()
                 if (!reclaimer_.release_entry(e)) {
                     // Could not restore access under pressure: keep the
                     // entry quarantined; a later sweep retries.
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    failed_count.fetch_add(1, std::memory_order_relaxed);
-                    failed_per_worker[index].push_back(e);
+                    ++t.failed;
+                    t.failed_entries.push_back(e);
                     continue;
                 }
-                // msw-relaxed(stat-cells): sweep tallies; the join
-                // below publishes them to the reader.
-                released_count.fetch_add(1, std::memory_order_relaxed);
-                released_bytes.fetch_add(e.usable,
-                                         std::memory_order_relaxed);
+                ++t.released;
+                t.released_bytes += e.usable;
             }
         }
+        // One store per worker, after its loop: no shared line is
+        // written per entry, and the join below publishes it.
+        per_worker[index] = std::move(t);
     };
-    const std::uint64_t release_t0 = monotonic_ns();
-    if (workers_ != nullptr)
-        workers_->run(release_job);
-    else
-        release_job(0);
-    const std::uint64_t release_ns = monotonic_ns() - release_t0;
-    stats_.add(Stat::kPhaseReleaseNs, release_ns);
-
-    std::vector<Entry> failed;
-    for (auto& fv : failed_per_worker)
-        failed.insert(failed.end(), fv.begin(), fv.end());
-
-    // msw-relaxed(stat-cells): tallies read after the worker join,
-    // which publishes every worker's writes.
-    const std::uint64_t released_n =
-        released_count.load(std::memory_order_relaxed);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,
-                                     release_ns, released_n);
-    stats_.add(Stat::kEntriesReleased, released_n);
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kBytesReleased,
-               released_bytes.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kFailedFrees,
-               failed_count.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kSweepFillChecks,
-               fill_checks.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kCanaryViolations,
-               fill_violations.load(std::memory_order_relaxed));
+    ReleaseTally total;
+    {
+        PhaseScope release(stats_, Stat::kPhaseReleaseNs,
+                           TraceEvent::kPhaseRelease);
+        if (workers_ != nullptr)
+            workers_->run(release_job);
+        else
+            release_job(0);
+        for (const ReleaseTally& t : per_worker)
+            total.add(t);
+        release.set_arg(total.released);
+    }
+    stats_.add(Stat::kEntriesReleased, total.released);
+    stats_.add(Stat::kBytesReleased, total.released_bytes);
+    stats_.add(Stat::kFailedFrees, total.failed);
+    stats_.add(Stat::kSweepFillChecks, total.fill_checks);
+    stats_.add(Stat::kCanaryViolations, total.fill_violations);
     mark_bits_.clear_marks();
-    quarantine_.store_failed(std::move(failed));
+    quarantine_.store_failed(std::move(total.failed_entries));
 
     reclaimer_.end_scan();
 
@@ -415,11 +404,9 @@ QuarantineRuntime::run_sweep()
 
     const std::uint64_t helpers1 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    stats_.add(Stat::kSweepCpuNs, (sweep::thread_cpu_ns() - cpu0) +
+    stats_.add(Stat::kSweepCpuNs, (util::thread_cpu_ns() - cpu0) +
                                       (helpers1 - helpers0));
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepEnd,
-                                     monotonic_ns() - sweep_t0,
-                                     released_n);
+    whole.set_arg(total.released);
 }
 
 SweepStats
@@ -443,6 +430,7 @@ QuarantineRuntime::sweep_stats() const
     s.phase_mark_ns = at(Stat::kPhaseMarkNs);
     s.phase_drain_ns = at(Stat::kPhaseDrainNs);
     s.phase_release_ns = at(Stat::kPhaseReleaseNs);
+    s.sweep_wall_ns = at(Stat::kSweepWallNs);
     s.emergency_sweeps = at(Stat::kEmergencySweeps);
     s.commit_retries = at(Stat::kCommitRetries);
     s.watchdog_fallbacks = at(Stat::kWatchdogFallbacks);
@@ -490,12 +478,8 @@ QuarantineRuntime::unregister_mutator_thread()
     // A sweep that snapshotted the stack list before the removal may
     // still be scanning this thread's stack; the thread must not exit
     // (and its stack must not be unmapped) until that sweep drains.
-    while (controller_.sweep_in_progress()) {
-        struct timespec ts {
-            0, 1000000
-        };
-        ::nanosleep(&ts, nullptr);
-    }
+    while (controller_.sweep_in_progress())
+        util::sleep_ns(1000000);
 }
 
 std::vector<Range>

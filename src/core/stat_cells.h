@@ -17,11 +17,19 @@
  * the self-hosted LD_PRELOAD path, and a StatCells instance is shared by
  * the whole runtime-base hierarchy (MineSweeper, MarkUs, FFMalloc), which
  * is what makes the SweepStats/AllocatorStats surfaces uniform.
+ *
+ * Every *time* counter (the sweep phases, kStwNs, kPauseNs and
+ * kSweepWallNs) is written by exactly one primitive, PhaseScope below:
+ * one clock read pair per phase, one site per phase.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+
+#include "metrics/telemetry.h"
+#include "util/clock.h"
+#include "util/failpoint.h"
 
 namespace msw::core {
 
@@ -52,6 +60,7 @@ enum class Stat : unsigned {
     kPhaseMarkNs,
     kPhaseDrainNs,
     kPhaseReleaseNs,
+    kSweepWallNs,
 
     // Resilience (MineSweeper).
     kEmergencySweeps,
@@ -157,6 +166,87 @@ class StatCells
     }
 
     Shard shards_[kShards] = {};
+};
+
+/**
+ * RAII timer for one phase: on destruction it adds the elapsed
+ * util::now_ns() time to @p stat and pushes @p event (a0 = duration,
+ * a1 = set_arg()); with telemetry on it also records the duration into
+ * @p hist. The clock reads are unconditional — phases are slow paths —
+ * and only the trace push and histogram are gated.
+ */
+class PhaseScope
+{
+  public:
+    PhaseScope(StatCells& stats, Stat stat, metrics::TraceEvent event,
+               metrics::Histogram* hist = nullptr)
+        : stats_(stats), stat_(stat), event_(event), hist_(hist),
+          t0_(util::now_ns())
+    {}
+
+    ~PhaseScope()
+    {
+        const std::uint64_t ns = util::now_ns() - t0_;
+        stats_.add(stat_, ns);
+        metrics::Telemetry& tele = metrics::telemetry();
+        if (tele.on()) {
+            if (hist_ != nullptr)
+                hist_->record(ns);
+            tele.trace.push(event_, ns, arg_);
+        }
+    }
+
+    PhaseScope(const PhaseScope&) = delete;
+    PhaseScope& operator=(const PhaseScope&) = delete;
+
+    /** The trace event's a1 (bytes scanned, entries released, ...). */
+    void set_arg(std::uint64_t a1) { arg_ = a1; }
+
+  private:
+    StatCells& stats_;
+    const Stat stat_;
+    const metrics::TraceEvent event_;
+    metrics::Histogram* const hist_;
+    const std::uint64_t t0_;
+    std::uint64_t arg_ = 0;
+};
+
+/** Counters describing sweeping activity (Fig 12, Fig 14 inputs). */
+struct SweepStats {
+    std::uint64_t sweeps = 0;
+    std::uint64_t entries_released = 0;
+    std::uint64_t bytes_released = 0;
+    std::uint64_t failed_frees = 0;      ///< Entry-test failures (cumulative).
+    std::uint64_t double_frees = 0;
+    std::uint64_t bytes_scanned = 0;     ///< Total marking traffic.
+    std::uint64_t sweep_cpu_ns = 0;      ///< Sweeper + helper CPU time.
+    std::uint64_t stw_ns = 0;            ///< Total stop-the-world time.
+    std::uint64_t pause_ns = 0;          ///< Allocation-pausing wait time.
+    std::uint64_t unmapped_entries = 0;  ///< Large allocations unmapped.
+
+    // Sweep-phase breakdown: wall-clock time of disjoint intervals
+    // inside each sweep, so their sum never exceeds sweep_wall_ns;
+    // stw_ns lies inside phase_mark_ns.
+    std::uint64_t phase_dirty_scan_ns = 0;  ///< Write-tracker arming.
+    std::uint64_t phase_mark_ns = 0;        ///< Both mark passes.
+    std::uint64_t phase_drain_ns = 0;       ///< Deferred-free drain.
+    std::uint64_t phase_release_ns = 0;     ///< Entry test + release batches.
+    std::uint64_t sweep_wall_ns = 0;        ///< Whole sweeps, wall clock.
+
+    // Resilience counters (memory-pressure degradation + watchdog).
+    std::uint64_t emergency_sweeps = 0;   ///< Reclaims run from alloc().
+    std::uint64_t commit_retries = 0;     ///< alloc() retries after failure.
+    std::uint64_t watchdog_fallbacks = 0; ///< Synchronous watchdog sweeps.
+    std::uint64_t oom_returns = 0;        ///< alloc() nullptr returns.
+
+    // Hardened-policy counters (zero under the default policy).
+    std::uint64_t canary_checks = 0;      ///< free()-time canary tests.
+    std::uint64_t canary_violations = 0;  ///< Tampered canaries/fills seen.
+    std::uint64_t sweep_fill_checks = 0;  ///< Release-time fill audits.
+    std::uint64_t release_shuffles = 0;   ///< Randomized release batches.
+
+    /** Process-global failpoint fire counts, indexed by util::Failpoint. */
+    std::uint64_t failpoint_hits[util::kNumFailpoints] = {};
 };
 
 }  // namespace msw::core

@@ -1,9 +1,9 @@
 #include "core/sweep_controller.h"
 
-#include <ctime>
 #include <new>
 
 #include "metrics/telemetry.h"
+#include "util/clock.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 
@@ -16,25 +16,7 @@ namespace {
 
 thread_local bool tls_sweep_context = false;
 
-void
-sleep_ms(long ms)
-{
-    struct timespec ts {
-        0, ms * 1000000
-    };
-    ::nanosleep(&ts, nullptr);
-}
-
 }  // namespace
-
-std::uint64_t
-monotonic_ns()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
 
 bool
 SweepController::in_sweep_context()
@@ -95,7 +77,7 @@ SweepController::shutdown()
     while (!sweep_in_progress_.compare_exchange_weak(
         expected, true, std::memory_order_acquire)) {
         expected = false;
-        sleep_ms(1);
+        util::sleep_ns(1000000);
     }
     sweep_done_cv_.notify_all();
 
@@ -103,7 +85,7 @@ SweepController::shutdown()
     // visible, so no thread is left blocked on state the owner destroys.
     while (control_waiters_.load(std::memory_order_acquire) != 0) {
         sweep_done_cv_.notify_all();
-        sleep_ms(1);
+        util::sleep_ns(1000000);
     }
 }
 
@@ -135,7 +117,7 @@ SweepController::prepare_fork() MSW_NO_THREAD_SAFETY_ANALYSIS
             return;
         }
         sweep_mu_.unlock();
-        sleep_ms(1);
+        util::sleep_ns(1000000);
     }
 }
 
@@ -232,7 +214,7 @@ SweepController::request_sweep(bool pause_allocations)
         // msw-relaxed(sweeper-token): stamped under sweep_mu_; the
         // unlocked watchdog read tolerates staleness by one period.
         if (sweep_request_ns_.load(std::memory_order_relaxed) == 0)
-            sweep_request_ns_.store(monotonic_ns(),
+            sweep_request_ns_.store(util::now_ns(),
                                     std::memory_order_relaxed);
         // msw-relaxed(sweeper-token): advisory gate; waiters poll it
         // on a timed wait, so a stale read only delays one period.
@@ -299,7 +281,7 @@ SweepController::check_watchdog()
     // early-out); the fallback sweep itself re-takes the real token.
     const bool overdue =
         watchdog_tripped_.load(std::memory_order_relaxed) ||
-        monotonic_ns() - req >=
+        util::now_ns() - req >=
             config_.watchdog_timeout_ms * 1'000'000ull;
     if (!overdue)
         return;
@@ -311,6 +293,12 @@ SweepController::check_watchdog()
                      static_cast<unsigned long long>(
                          config_.watchdog_timeout_ms));
     }
+    fallback_sweep();
+}
+
+void
+SweepController::fallback_sweep()
+{
     if (run_sweep_now()) {
         stats_->add(Stat::kWatchdogFallbacks);
         metrics::telemetry().trace_event(
@@ -328,8 +316,12 @@ SweepController::maybe_pause()
         !pause_flag_.load(std::memory_order_relaxed)) {
         return;
     }
-    const std::uint64_t t0 = monotonic_ns();
     {
+        // Only reached when the thread actually pauses, so the timer is
+        // off the allocation fast path.
+        PhaseScope paused(*stats_, Stat::kPauseNs,
+                          metrics::TraceEvent::kAllocPause,
+                          &metrics::telemetry().pause_ns);
         // A dead sweeper (e.g. a fork child whose respawn failed) never
         // clears the flag or notifies, so the wait must not outlive the
         // watchdog deadline — check_watchdog() below self-serves then.
@@ -349,16 +341,6 @@ SweepController::maybe_pause()
                                                std::memory_order_relaxed);
                                 });
         control_waiters_.fetch_sub(1, std::memory_order_release);
-    }
-    const std::uint64_t paused_ns = monotonic_ns() - t0;
-    stats_->add(Stat::kPauseNs, paused_ns);
-    // Only reached when the thread actually paused, so this is off the
-    // allocation fast path; the telemetry gate keeps it one relaxed
-    // load when disabled.
-    metrics::Telemetry& tele = metrics::telemetry();
-    if (tele.on()) {
-        tele.pause_ns.record(paused_ns);
-        tele.trace.push(metrics::TraceEvent::kAllocPause, paused_ns);
     }
     // A stalled sweeper never clears the pause flag — make sure progress
     // is still possible before returning to the allocation path.
@@ -407,7 +389,7 @@ SweepController::force_sweep()
         // msw-relaxed(sweeper-token): heartbeat stamp under sweep_mu_;
         // the unlocked watchdog read tolerates one period of staleness.
         if (sweep_request_ns_.load(std::memory_order_relaxed) == 0)
-            sweep_request_ns_.store(monotonic_ns(),
+            sweep_request_ns_.store(util::now_ns(),
                                     std::memory_order_relaxed);
         sweep_cv_.notify_all();
         const auto timeout = std::chrono::milliseconds(
@@ -427,11 +409,7 @@ SweepController::force_sweep()
             // Timed out: the sweeper may be stalled or dead. Sweep on
             // this thread instead of hanging the caller.
             g.unlock();
-            if (run_sweep_now()) {
-                stats_->add(Stat::kWatchdogFallbacks);
-                metrics::telemetry().trace_event(
-                    metrics::TraceEvent::kWatchdogFallback);
-            }
+            fallback_sweep();
             g.lock();
             // msw-relaxed(sweeper-token): re-read under sweep_mu_,
             // which the incrementing side holds.

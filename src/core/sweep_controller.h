@@ -34,9 +34,6 @@
 
 namespace msw::core {
 
-/** Monotonic clock in nanoseconds (CLOCK_MONOTONIC). */
-std::uint64_t monotonic_ns();
-
 class SweepController
 {
   public:
@@ -196,6 +193,9 @@ class SweepController
 
     /** Serve a pending post-fork lazy respawn of the sweeper thread. */
     void ensure_sweeper();
+
+    /** Sweep on the calling thread for a missed deadline; counts it. */
+    void fallback_sweep();
 
     Config config_;
     std::function<void()> sweep_fn_;

@@ -9,8 +9,8 @@
  *    /proc/self/statm on an interval, yielding average/peak RSS and the
  *    full time series (Fig 8);
  *  - process CPU time via getrusage (Fig 12's utilisation numerator);
- *  - RunRecord: one benchmark execution's results, serialisable over a
- *    pipe so each (system, workload) pair runs in a forked child with
+ *  - RunRecord: one benchmark execution's results, shipped over a pipe
+ *    so each (system, workload) pair runs in a forked child with
  *    pristine RSS/VA (the paper runs each configuration as a separate
  *    process for the same reason).
  */
@@ -25,13 +25,18 @@
 #include <vector>
 
 #include "metrics/histogram.h"
+#include "util/clock.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace msw::metrics {
 
-/** Wall-clock + CPU-time measurements and counters for one run. */
-struct RunRecord {
+/**
+ * The fixed-size part of a RunRecord. Trivially copyable, so the fork
+ * pipe ships it verbatim: a field added here reaches the parent with no
+ * serialisation code.
+ */
+struct RunScalars {
     double wall_s = 0;
     double cpu_s = 0;          ///< Process CPU time (all threads).
     std::size_t avg_rss = 0;   ///< Mean sampled RSS (bytes).
@@ -50,16 +55,22 @@ struct RunRecord {
 
     // Telemetry (observability layer, DESIGN.md §14): per-operation
     // request latency and the runtime's pause/phase breakdown.
-    LatencySummary op_latency;     ///< Workload request latency digest.
-    LatencySummary sweep_pause;    ///< Backpressure pause digest.
+    LatencySummary op_latency;   ///< Workload request latency digest.
+    LatencySummary alloc_pause;  ///< Backpressure allocation pauses.
+    LatencySummary stw_pause;    ///< Stop-the-world windows.
     std::uint64_t pause_total_ns = 0;       ///< Sum of allocation pauses.
     std::uint64_t stw_total_ns = 0;         ///< Sum of STW windows.
     std::uint64_t phase_dirty_scan_ns = 0;  ///< Per-phase sweep totals.
     std::uint64_t phase_mark_ns = 0;
     std::uint64_t phase_drain_ns = 0;
     std::uint64_t phase_release_ns = 0;
+    std::uint64_t sweep_wall_ns = 0;  ///< Whole sweeps; bounds the phases.
 
     bool ok = false;  ///< Child completed successfully.
+};
+
+/** Wall-clock + CPU-time measurements and counters for one run. */
+struct RunRecord : RunScalars {
     /** RSS series: (seconds since start, bytes). */
     std::vector<std::pair<double, std::size_t>> rss_series;
 };
@@ -67,8 +78,12 @@ struct RunRecord {
 /** Process CPU time (user+system, all threads) in seconds. */
 double process_cpu_seconds();
 
-/** Monotonic wall clock in seconds. */
-double wall_seconds();
+/** Forward to util::now_ns(), in seconds, for out-of-tree callers. */
+inline double
+wall_seconds()
+{
+    return 1e-9 * static_cast<double>(util::now_ns());
+}
 
 /** PSRecord-style background RSS sampler. */
 class RssSampler
@@ -93,7 +108,7 @@ class RssSampler
     void loop();
 
     unsigned interval_ms_;
-    double start_;
+    std::uint64_t start_ns_;
     // Rank kMetrics: leaf lock, never held while calling anything else.
     mutable Mutex mu_{util::LockRank::kMetrics};
     std::vector<std::pair<double, std::size_t>> samples_

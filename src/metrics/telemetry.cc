@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
+#include <string>
 #include <unistd.h>
 
 #include "util/sigsafe_io.h"
@@ -99,15 +99,6 @@ telemetry()
     return g_telemetry;
 }
 
-std::uint64_t
-telemetry_now_ns()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
 bool
 telemetry_init_from_env()
 {
@@ -150,14 +141,20 @@ telemetry_write_json(const char* path)
 {
     if (path == nullptr || *path == '\0')
         return false;
-    std::FILE* f = std::fopen(path, "w");
+    // Expand %p here, not when the environment is read: under the shim
+    // every process of a fork/exec chain (g++ -> cc1plus -> as) writes.
+    std::string expanded = path;
+    for (std::size_t at; (at = expanded.find("%p")) != std::string::npos;)
+        expanded.replace(at, 2, std::to_string(::getpid()));
+    std::FILE* f = std::fopen(expanded.c_str(), "w");
     if (f == nullptr)
         return false;
     Telemetry& t = telemetry();
     std::fprintf(f, "{\n");
     json_summary(f, "alloc_ns", t.alloc_ns.summarize(), true);
     json_summary(f, "free_ns", t.free_ns.summarize(), true);
-    json_summary(f, "pause_ns", t.pause_ns.summarize(), true);
+    json_summary(f, "alloc_pause_ns", t.pause_ns.summarize(), true);
+    json_summary(f, "stw_pause_ns", t.stw_ns.summarize(), true);
 
     std::fprintf(f, "  \"counters\": {");
     // msw-relaxed(config-flag): provider pointer published once during
@@ -204,7 +201,8 @@ telemetry_dump_sigsafe(int fd)
     w.str("== msw telemetry ==\n");
     sigsafe_summary(w, "alloc_ns", t.alloc_ns.summarize());
     sigsafe_summary(w, "free_ns", t.free_ns.summarize());
-    sigsafe_summary(w, "pause_ns", t.pause_ns.summarize());
+    sigsafe_summary(w, "alloc_pause_ns", t.pause_ns.summarize());
+    sigsafe_summary(w, "stw_pause_ns", t.stw_ns.summarize());
     // msw-relaxed(config-flag): provider pointer published once during
     // bootstrap; a null read here just omits the counters section.
     if (TelemetryCounterFn fn =

@@ -4,16 +4,17 @@
  * (DESIGN.md §14).
  *
  * One static instance aggregates the latency histograms (malloc/free
- * fast-path, sweep pauses), the binary trace ring, and the export
- * surface:
+ * fast-path, allocation pauses, stop-the-world windows), the binary
+ * trace ring, and the export surface:
  *
  *  - `MSW_TELEMETRY=1` (or any truthy value) enables the master layer:
  *    pause histograms and trace events. `MSW_TELEMETRY=ops`
  *    additionally samples per-call malloc/free latency — that costs
- *    two clock_gettime reads per operation, so it is a separate gate
+ *    two util::now_ns() reads per operation, so it is a separate gate
  *    that benchmarks leave off.
  *  - `MSW_STATS_DUMP=<path>` implies the master layer and writes a
- *    JSON snapshot at shim teardown (telemetry_write_json).
+ *    JSON snapshot at shim teardown (telemetry_write_json); `%p` in
+ *    the path becomes the writing process's pid.
  *  - SIGUSR2 (telemetry_install_sigusr2) dumps a text snapshot to
  *    stderr through util/sigsafe_io — the handler path touches only
  *    relaxed atomic loads, stack buffers and write(2).
@@ -30,6 +31,7 @@
 
 #include "metrics/histogram.h"
 #include "metrics/trace_ring.h"
+#include "util/clock.h"
 
 namespace msw::metrics {
 
@@ -87,6 +89,7 @@ class Telemetry
     Histogram alloc_ns;  ///< malloc/alloc_aligned fast-path latency.
     Histogram free_ns;   ///< free fast-path latency.
     Histogram pause_ns;  ///< Backpressure allocation pauses.
+    Histogram stw_ns;    ///< Stop-the-world windows of the sweep.
     TraceRing trace;
 
     std::atomic<TelemetryCounterFn> counter_fn{nullptr};
@@ -107,7 +110,9 @@ const char* telemetry_stats_dump_path();
 
 /**
  * Write the JSON snapshot (histograms, counters, trace tail) to @p
- * path. Normal-context only (uses stdio). Returns false on I/O error.
+ * path, with every `%p` replaced by getpid() at this call, so a forked
+ * child writes its own file. Normal-context only (uses stdio). Returns
+ * false on I/O error.
  */
 bool telemetry_write_json(const char* path);
 
@@ -120,7 +125,7 @@ void telemetry_dump_sigsafe(int fd);
 /** Install the SIGUSR2 dump-to-stderr handler (idempotent). */
 void telemetry_install_sigusr2();
 
-/** CLOCK_MONOTONIC in nanoseconds (for op timing in workloads). */
-std::uint64_t telemetry_now_ns();
+/** Forward to util::now_ns() for out-of-tree callers. */
+inline std::uint64_t telemetry_now_ns() { return util::now_ns(); }
 
 }  // namespace msw::metrics

@@ -3,10 +3,10 @@
 #include <sys/mman.h>
 
 #include <cstring>
-#include <ctime>
 
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/failpoint.h"
 #include "vm/vm.h"
 
@@ -150,10 +150,7 @@ Quarantine::buffer_destructor(void* arg)
     if (util::failpoint_should_fail(util::Failpoint::kThreadExit)) {
         // Chaos: delay the exit-path drain so it races concurrent
         // sweeps and fork cycles the way late TSD destruction does.
-        struct timespec ts {
-            0, 1000000
-        };
-        ::nanosleep(&ts, nullptr);
+        util::sleep_ns(1000000);
     }
     if (buf->owner.load(std::memory_order_acquire) != nullptr) {
         LockGuard g(g_buffer_lock);

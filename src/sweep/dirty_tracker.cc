@@ -331,16 +331,69 @@ MprotectTracker::describe_fault(std::uintptr_t addr) const
 void
 MprotectTracker::note_committed(std::uintptr_t addr, std::size_t len)
 {
-    if (!active_)
-        return;
+    // No epoch check: the caller gates on the sweep's scan flag, and a
+    // page noted before begin() or after end_collect() is harvested by
+    // the next end_collect() — a spurious recheck, never a missed one.
     const std::uintptr_t lo = align_down(addr, vm::kPageSize);
     const std::uintptr_t hi = align_up(addr + len, vm::kPageSize);
     for (std::uintptr_t p = lo; p < hi; p += vm::kPageSize) {
-        // msw-relaxed(dirty-pages): cell update; end_collect() reads
-        // it only after mprotect restores access on the range.
+        // msw-relaxed(dirty-pages): cell update, published by the
+        // release CAS on the span below.
         __atomic_store_n(&page_state_[page_index(p)], kDirty,
                          __ATOMIC_RELAXED);
     }
+    // Widen the noted span; its release CAS publishes the cells above
+    // to end_collect()'s acquire exchange.
+    // msw-relaxed(dirty-pages): CAS seed; a failed CAS reloads it.
+    std::uintptr_t cur = noted_lo_.load(std::memory_order_relaxed);
+    // msw-cas(dirty-pages): monotone min over a uintptr_t, no ABA;
+    // relaxed failure order — only a successful CAS publishes.
+    while (lo < cur &&
+           !noted_lo_.compare_exchange_weak(cur, lo,
+                                            std::memory_order_release,
+                                            std::memory_order_relaxed)) {
+    }
+    // msw-relaxed(dirty-pages): as above — CAS seed.
+    cur = noted_hi_.load(std::memory_order_relaxed);
+    // msw-cas(dirty-pages): as above — monotone max.
+    while (hi > cur &&
+           !noted_hi_.compare_exchange_weak(cur, hi,
+                                            std::memory_order_release,
+                                            std::memory_order_relaxed)) {
+    }
+}
+
+void
+MprotectTracker::harvest(std::uintptr_t lo, std::uintptr_t hi,
+                         std::vector<Range>& out)
+{
+    Range run{};
+    for (std::uintptr_t p = lo; p < hi; p += vm::kPageSize) {
+        const std::size_t idx = page_index(p);
+        // msw-relaxed(dirty-pages): read after the mprotect (tracked
+        // ranges) or the acquire of the noted span (noted pages).
+        const unsigned char st =
+            __atomic_load_n(&page_state_[idx], __ATOMIC_RELAXED);
+        // msw-relaxed(dirty-pages): as above — harvest reset.
+        __atomic_store_n(&page_state_[idx], static_cast<unsigned char>(0),
+                         __ATOMIC_RELAXED);
+        // A page noted in an earlier epoch may since have been
+        // decommitted; rescanning it would fault.
+        if (!(st & kDirty) ||
+            (committed_filter_ != nullptr &&
+             !committed_filter_(p, committed_filter_arg_))) {
+            continue;
+        }
+        if (run.len != 0 && run.end() == p) {
+            run.len += vm::kPageSize;
+        } else {
+            if (run.len != 0)
+                out.push_back(run);
+            run = Range{p, vm::kPageSize};
+        }
+    }
+    if (run.len != 0)
+        out.push_back(run);
 }
 
 void
@@ -353,30 +406,14 @@ MprotectTracker::end_collect(std::vector<Range>& out)
         const std::uintptr_t hi = align_up(r.end(), vm::kPageSize);
         MSW_CHECK(::mprotect(to_ptr(lo), hi - lo,
                              PROT_READ | PROT_WRITE) == 0);
-        Range run{};
-        for (std::uintptr_t p = lo; p < hi; p += vm::kPageSize) {
-            const std::size_t idx = page_index(p);
-            // msw-relaxed(dirty-pages): harvest after the mprotect
-            // above; no new faults can be marking these cells.
-            const unsigned char st =
-                __atomic_load_n(&page_state_[idx], __ATOMIC_RELAXED);
-            // msw-relaxed(dirty-pages): as above — post-mprotect reset.
-            __atomic_store_n(&page_state_[idx],
-                             static_cast<unsigned char>(0),
-                             __ATOMIC_RELAXED);
-            if (st & kDirty) {
-                if (run.len != 0 && run.end() == p) {
-                    run.len += vm::kPageSize;
-                } else {
-                    if (run.len != 0)
-                        out.push_back(run);
-                    run = Range{p, vm::kPageSize};
-                }
-            }
-        }
-        if (run.len != 0)
-            out.push_back(run);
+        harvest(lo, hi, out);
     }
+    // Then the pages committed outside the snapshot (tracked pages in
+    // the span were reset above, so nothing is reported twice).
+    const std::uintptr_t lo =
+        noted_lo_.exchange(UINTPTR_MAX, std::memory_order_acquire);
+    const std::uintptr_t hi = noted_hi_.exchange(0, std::memory_order_acquire);
+    harvest(lo, hi, out);
     active_ = false;
     tracked_.clear();
 }

@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -51,7 +52,10 @@ class DirtyTracker
 
     /**
      * Inform the tracker that [addr, addr+len) was freshly committed
-     * during the epoch; such pages are treated as dirty.
+     * during the epoch; such pages are treated as dirty. Called from
+     * mutators while a sweep is active, possibly before begin() (the
+     * page then lies outside begin()'s ranges, which were snapshotted
+     * after it appeared) and concurrently with it.
      */
     virtual void note_committed(std::uintptr_t /*addr*/, std::size_t /*len*/)
     {}
@@ -150,6 +154,10 @@ class MprotectTracker final : public DirtyTracker
         return (addr - heap_->base()) >> vm::kPageShift;
     }
 
+    /** Append the dirty runs of [lo, hi) to @p out and reset its cells. */
+    void harvest(std::uintptr_t lo, std::uintptr_t hi,
+                 std::vector<Range>& out);
+
     const vm::Reservation* heap_;
     vm::Reservation state_;
     /** Per-page state bytes: bit 0 = tracked (write-protected), bit 1 =
@@ -158,7 +166,12 @@ class MprotectTracker final : public DirtyTracker
     unsigned char* page_state_ = nullptr;
     std::size_t num_pages_ = 0;
     std::vector<Range> tracked_;
-    bool active_ = false;
+    /** [noted_lo_, noted_hi_): span of note_committed() pages not yet
+     *  harvested; they lie outside tracked_ when committed after the
+     *  begin() snapshot. Empty when lo >= hi. */
+    std::atomic<std::uintptr_t> noted_lo_{UINTPTR_MAX};
+    std::atomic<std::uintptr_t> noted_hi_{0};
+    bool active_ = false;  ///< Sweeper-thread only (epoch assertions).
     bool (*committed_filter_)(std::uintptr_t, void*) = nullptr;
     void* committed_filter_arg_ = nullptr;
 };

@@ -4,10 +4,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <ctime>
 
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/log.h"
 
 namespace msw::sweep {
@@ -28,15 +28,6 @@ struct ParkControl {
 thread_local ParkControl tls_park{};
 
 std::atomic<bool> g_handler_installed{false};
-
-void
-sleep_ns(long ns)
-{
-    struct timespec ts {
-        0, ns
-    };
-    ::nanosleep(&ts, nullptr);
-}
 
 }  // namespace
 
@@ -69,7 +60,7 @@ RootRegistry::park_handler(int, siginfo_t*, void* ucontext)
     self->parked = true;
     tls_park.parked->fetch_add(1, std::memory_order_release);
     while (tls_park.resume_gen->load(std::memory_order_acquire) == gen)
-        sleep_ns(50000);
+        util::sleep_ns(50000);
     self->parked = false;
 }
 
@@ -259,7 +250,7 @@ RootRegistry::stop_world()
     const std::uint64_t deadline = 10000;  // ms
     std::uint64_t waited_us = 0;
     while (stw_->parked.load(std::memory_order_acquire) < expected) {
-        sleep_ns(100000);
+        util::sleep_ns(100000);
         waited_us += 100;
         if (waited_us > deadline * 1000)
             panic("stop_world: %d of %d threads failed to park",

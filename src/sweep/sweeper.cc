@@ -4,23 +4,14 @@
 
 #include <algorithm>
 #include <cstring>
-#include <ctime>
 #include <new>
 
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "vm/vm.h"
 
 namespace msw::sweep {
-
-std::uint64_t
-thread_cpu_ns()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
 
 // ---------------------------------------------------------------------
 // SweepWorkers
@@ -60,11 +51,11 @@ SweepWorkers::worker_loop(unsigned index)
             seen_generation = generation_;
             job = job_;
         }
-        const std::uint64_t cpu_before = thread_cpu_ns();
+        const std::uint64_t cpu_before = util::thread_cpu_ns();
         (*job)(index);
         // msw-relaxed(stat-cells): CPU-time tally; totals need no
         // ordering.
-        helper_cpu_ns_.fetch_add(thread_cpu_ns() - cpu_before,
+        helper_cpu_ns_.fetch_add(util::thread_cpu_ns() - cpu_before,
                                  std::memory_order_relaxed);
         {
             MutexGuard g(mu_);

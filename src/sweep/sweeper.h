@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/clock.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -151,8 +152,8 @@ std::vector<Range> chunk_ranges(const std::vector<Range>& ranges,
 void append_resident_subranges(const Range& range,
                                std::vector<Range>* out);
 
-/** Thread CPU time of the calling thread in nanoseconds. */
-std::uint64_t thread_cpu_ns();
+/** Forward to util::thread_cpu_ns() for out-of-tree callers. */
+inline std::uint64_t thread_cpu_ns() { return util::thread_cpu_ns(); }
 
 /**
  * First nonzero byte in [p, p+n), or null when the range is all zero.

@@ -1,6 +1,7 @@
 #include "workload/runner.h"
 
 #include "metrics/telemetry.h"
+#include "util/clock.h"
 #include "workload/executor.h"
 
 namespace msw::workload {
@@ -22,37 +23,38 @@ measure(SystemKind kind,
                 true, std::memory_order_relaxed);
             System sys = make_system(kind, msw_options);
             metrics::RssSampler sampler(mopts.rss_interval_ms);
-            const double wall0 = metrics::wall_seconds();
+            const std::uint64_t wall0 = util::now_ns();
             const double cpu0 = metrics::process_cpu_seconds();
 
             const WorkloadResult result = body(sys);
 
             sys.flush();
-            rec.wall_s = metrics::wall_seconds() - wall0;
+            rec.wall_s = 1e-9 * static_cast<double>(util::now_ns() - wall0);
             rec.cpu_s = metrics::process_cpu_seconds() - cpu0;
             sampler.stop();
             rec.avg_rss = sampler.average();
             rec.peak_rss = sampler.peak();
             rec.rss_series = sampler.series();
-            rec.sweeps = sys.sweeps();
             rec.allocs = result.allocs;
             rec.frees = result.frees;
             rec.checksum = result.checksum;
             rec.failed_allocs = result.failed_allocs;
-            const System::Resilience res = sys.resilience();
-            rec.emergency_sweeps = res.emergency_sweeps;
-            rec.commit_retries = res.commit_retries;
-            rec.watchdog_fallbacks = res.watchdog_fallbacks;
-            rec.oom_returns = res.oom_returns;
             rec.op_latency = result.op_latency;
-            rec.sweep_pause = metrics::telemetry().pause_ns.summarize();
-            const System::PhaseTotals ph = sys.phases();
-            rec.pause_total_ns = ph.pause_ns;
-            rec.stw_total_ns = ph.stw_ns;
-            rec.phase_dirty_scan_ns = ph.dirty_scan_ns;
-            rec.phase_mark_ns = ph.mark_ns;
-            rec.phase_drain_ns = ph.drain_ns;
-            rec.phase_release_ns = ph.release_ns;
+            const core::SweepStats st = sys.sweep_stats();
+            rec.sweeps = st.sweeps;
+            rec.emergency_sweeps = st.emergency_sweeps;
+            rec.commit_retries = st.commit_retries;
+            rec.watchdog_fallbacks = st.watchdog_fallbacks;
+            rec.oom_returns = st.oom_returns;
+            rec.alloc_pause = metrics::telemetry().pause_ns.summarize();
+            rec.stw_pause = metrics::telemetry().stw_ns.summarize();
+            rec.pause_total_ns = st.pause_ns;
+            rec.stw_total_ns = st.stw_ns;
+            rec.phase_dirty_scan_ns = st.phase_dirty_scan_ns;
+            rec.phase_mark_ns = st.phase_mark_ns;
+            rec.phase_drain_ns = st.phase_drain_ns;
+            rec.phase_release_ns = st.phase_release_ns;
+            rec.sweep_wall_ns = st.sweep_wall_ns;
             rec.ok = true;
             return rec;
         },

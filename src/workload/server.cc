@@ -8,6 +8,7 @@
 
 #include "metrics/metrics.h"
 #include "metrics/telemetry.h"
+#include "util/clock.h"
 #include "util/rng.h"
 
 namespace msw::workload {
@@ -44,23 +45,22 @@ class ServerWorker
         system_.register_thread();
         system_.add_root(slots_.data(), slots_.size() * sizeof(Session*));
 
-        const double t_end =
-            opts_.duration_s > 0
-                ? metrics::wall_seconds() + opts_.duration_s
-                : 0;
+        const std::uint64_t t_end =
+            util::now_ns() +
+            static_cast<std::uint64_t>(opts_.duration_s * 1e9);
         std::uint64_t op = 0;
         for (;;) {
             if (opts_.duration_s > 0) {
                 // Duration mode: check the clock once per batch so the
                 // loop condition itself stays out of the measurement.
-                if ((op & 1023) == 0 && metrics::wall_seconds() >= t_end)
+                if ((op & 1023) == 0 && util::now_ns() >= t_end)
                     break;
             } else if (op >= opts_.ops_per_thread) {
                 break;
             }
-            const std::uint64_t t0 = metrics::telemetry_now_ns();
+            const std::uint64_t t0 = util::now_ns();
             serve_one(op);
-            hist_.record(metrics::telemetry_now_ns() - t0);
+            hist_.record(util::now_ns() - t0);
             ++op;
         }
 

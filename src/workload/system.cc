@@ -39,27 +39,7 @@ wire_quarantine_runtime(System* sys, core::QuarantineRuntime* raw)
     sys->register_thread = [raw] { raw->register_mutator_thread(); };
     sys->unregister_thread = [raw] { raw->unregister_mutator_thread(); };
     sys->flush = [raw] { raw->flush(); };
-    sys->sweeps = [raw] { return raw->sweep_stats().sweeps; };
-    sys->resilience = [raw] {
-        const core::SweepStats st = raw->sweep_stats();
-        System::Resilience r;
-        r.emergency_sweeps = st.emergency_sweeps;
-        r.commit_retries = st.commit_retries;
-        r.watchdog_fallbacks = st.watchdog_fallbacks;
-        r.oom_returns = st.oom_returns;
-        return r;
-    };
-    sys->phases = [raw] {
-        const core::SweepStats st = raw->sweep_stats();
-        System::PhaseTotals p;
-        p.dirty_scan_ns = st.phase_dirty_scan_ns;
-        p.mark_ns = st.phase_mark_ns;
-        p.drain_ns = st.phase_drain_ns;
-        p.release_ns = st.phase_release_ns;
-        p.stw_ns = st.stw_ns;
-        p.pause_ns = st.pause_ns;
-        return p;
-    };
+    sys->sweep_stats = [raw] { return raw->sweep_stats(); };
 }
 
 }  // namespace

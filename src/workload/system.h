@@ -13,6 +13,7 @@
 
 #include "alloc/allocator.h"
 #include "core/options.h"
+#include "core/stat_cells.h"
 
 namespace msw::workload {
 
@@ -39,31 +40,10 @@ struct System {
     /** Quiesce background machinery before final measurements. */
     std::function<void()> flush = [] {};
 
-    /** Sweep/marking-pass count (0 for non-sweeping systems). */
-    std::function<std::uint64_t()> sweeps = [] {
-        return std::uint64_t{0};
+    /** Sweep counters and phase times (zeros for non-sweeping systems). */
+    std::function<core::SweepStats()> sweep_stats = [] {
+        return core::SweepStats{};
     };
-
-    /** Resilience counters (zero for systems without a degraded mode). */
-    struct Resilience {
-        std::uint64_t emergency_sweeps = 0;
-        std::uint64_t commit_retries = 0;
-        std::uint64_t watchdog_fallbacks = 0;
-        std::uint64_t oom_returns = 0;
-    };
-    std::function<Resilience()> resilience = [] { return Resilience{}; };
-
-    /** Sweep pause/phase time totals (telemetry layer; zero for
-        non-sweeping systems). */
-    struct PhaseTotals {
-        std::uint64_t dirty_scan_ns = 0;
-        std::uint64_t mark_ns = 0;
-        std::uint64_t drain_ns = 0;
-        std::uint64_t release_ns = 0;
-        std::uint64_t stw_ns = 0;
-        std::uint64_t pause_ns = 0;
-    };
-    std::function<PhaseTotals()> phases = [] { return PhaseTotals{}; };
 };
 
 /** Identifiers accepted by make_system(). */

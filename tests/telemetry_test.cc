@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
+#include <sys/wait.h>
 #include <string>
 #include <unistd.h>
 
@@ -96,6 +97,35 @@ TEST_F(TelemetryTest, StatsDumpPathImpliesMaster)
     EXPECT_STREQ(telemetry_stats_dump_path(), path.c_str());
 }
 
+// %p expands when the dump is written, so each process of a fork chain
+// (g++ -> cc1plus -> as under the shim) keeps its own file.
+TEST_F(TelemetryTest, StatsDumpPidExpandsPerWritingProcess)
+{
+    const std::string pattern = temp_path("pid") + "_%p.json";
+    ::setenv("MSW_STATS_DUMP", pattern.c_str(), 1);
+    ASSERT_TRUE(telemetry_init_from_env());
+    const auto path_for = [&](pid_t pid) {
+        return pattern.substr(0, pattern.size() - 7) + std::to_string(pid) +
+               ".json";
+    };
+
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        ::_exit(telemetry_write_json(telemetry_stats_dump_path()) ? 0 : 1);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    ASSERT_TRUE(telemetry_write_json(telemetry_stats_dump_path()));
+
+    for (const pid_t pid : {child, ::getpid()}) {
+        const std::string json = slurp(path_for(pid));
+        ::unlink(path_for(pid).c_str());
+        EXPECT_NE(json.find("\"counters\""), std::string::npos)
+            << "no dump for pid " << pid;
+    }
+}
+
 TEST_F(TelemetryTest, JsonExportCarriesHistogramsAndTrace)
 {
     telemetry().enabled.store(true, std::memory_order_relaxed);
@@ -108,7 +138,8 @@ TEST_F(TelemetryTest, JsonExportCarriesHistogramsAndTrace)
     ::unlink(path.c_str());
 
     // Keys the plot/CI tooling depends on.
-    EXPECT_NE(json.find("\"pause_ns\""), std::string::npos);
+    EXPECT_NE(json.find("\"alloc_pause_ns\""), std::string::npos);
+    EXPECT_NE(json.find("\"stw_pause_ns\""), std::string::npos);
     EXPECT_NE(json.find("\"alloc_ns\""), std::string::npos);
     EXPECT_NE(json.find("\"free_ns\""), std::string::npos);
     EXPECT_NE(json.find("\"p999_ns\""), std::string::npos);
@@ -131,7 +162,8 @@ TEST_F(TelemetryTest, SigsafeDumpWritesDigests)
     ::unlink(path.c_str());
 
     EXPECT_NE(text.find("msw telemetry"), std::string::npos);
-    EXPECT_NE(text.find("pause_ns"), std::string::npos);
+    EXPECT_NE(text.find("alloc_pause_ns"), std::string::npos);
+    EXPECT_NE(text.find("stw_pause_ns"), std::string::npos);
     EXPECT_NE(text.find("p99"), std::string::npos);
 }
 

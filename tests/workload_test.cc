@@ -98,7 +98,7 @@ TEST(Executor, MineSweeperSweepsUnderChurnProfile)
     o.min_sweep_bytes = 64 * 1024;
     System sys = make_system(SystemKind::kMineSweeper, o);
     run_profile(sys, p);
-    EXPECT_GT(sys.sweeps(), 0u);
+    EXPECT_GT(sys.sweep_stats().sweeps, 0u);
 }
 
 TEST(SpecProfiles, SuitesHaveExpectedBenchmarks)

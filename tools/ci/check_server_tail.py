@@ -5,6 +5,10 @@ The server tail-latency benchmark is the repo's answer to "where do the
 pauses land"; CI runs it in short duration mode and this script fails
 the job if the output lost a system, a percentile key, or its
 provenance stamp — the shapes the plotting/tracking tooling consumes.
+It also checks that the reported times agree with each other: the four
+sweep phases fit inside the sweeps' wall time, the STW windows fit
+inside the mark phase, and STW time is reported exactly when STW pauses
+were counted.
 
 Usage: check_server_tail.py [path-to-BENCH_server_tail.json]
 """
@@ -15,9 +19,28 @@ import sys
 EXPECTED_SYSTEMS = ("baseline", "markus", "ffmalloc", "minesweeper")
 LATENCY_KEYS = ("count", "mean_ns", "p50_ns", "p90_ns", "p99_ns",
                 "p999_ns", "max_ns")
-DIGEST_KEYS = ("op_latency_ns", "sweep_pause_ns")
-TOTAL_KEYS = ("pause_total_ns", "stw_total_ns", "phase_dirty_scan_ns",
-              "phase_mark_ns", "phase_drain_ns", "phase_release_ns")
+DIGEST_KEYS = ("op_latency_ns", "alloc_pause_ns", "stw_pause_ns")
+PHASE_KEYS = ("phase_dirty_scan_ns", "phase_mark_ns", "phase_drain_ns",
+              "phase_release_ns")
+TOTAL_KEYS = ("pause_total_ns", "stw_total_ns", "sweep_wall_ns") + PHASE_KEYS
+
+
+def consistency_errors(name, sys_doc):
+    """Relations between the totals that hold by construction: every
+    phase is timed inside its sweep, and the STW window inside mark."""
+    errors = []
+    phases = sum(sys_doc[k] for k in PHASE_KEYS)
+    if phases > sys_doc["sweep_wall_ns"]:
+        errors.append(f"{name}: phase sum {phases} > sweep_wall_ns "
+                      f"{sys_doc['sweep_wall_ns']}")
+    stw = sys_doc["stw_total_ns"]
+    if stw > sys_doc["phase_mark_ns"]:
+        errors.append(f"{name}: stw_total_ns {stw} > phase_mark_ns "
+                      f"{sys_doc['phase_mark_ns']}")
+    if (stw > 0) != (sys_doc["stw_pause_ns"]["count"] > 0):
+        errors.append(f"{name}: stw_total_ns {stw} but stw_pause_ns "
+                      f"count {sys_doc['stw_pause_ns']['count']}")
+    return errors
 
 
 def main() -> int:
@@ -59,6 +82,9 @@ def main() -> int:
             if k not in sys_doc:
                 errors.append(f"{name}: missing key {k!r}")
 
+    if not errors:
+        for name in EXPECTED_SYSTEMS:
+            errors += consistency_errors(name, systems[name])
     if errors:
         for e in errors:
             print(f"check_server_tail: {e}", file=sys.stderr)
