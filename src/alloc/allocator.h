@@ -35,6 +35,33 @@ struct AllocatorStats {
     std::uint64_t free_calls = 0;
 };
 
+/**
+ * The one realloc, over any allocator @p a: in place while @p new_size
+ * fits and uses more than half the block, otherwise allocate-copy-free.
+ * When allocation fails it returns nullptr and the original block stays
+ * valid, per the realloc contract. A template so a caller holding a
+ * final allocator type (the shim's MineSweeper) calls its alloc and free
+ * directly rather than through the vtable.
+ */
+template <class A>
+void*
+realloc_on(A& a, void* ptr, std::size_t new_size)
+{
+    if (ptr == nullptr)
+        return a.alloc(new_size);
+    if (new_size == 0)
+        new_size = 1;
+    const std::size_t old = a.usable_size(ptr);
+    if (new_size <= old && new_size * 2 > old)
+        return ptr;
+    void* fresh = a.alloc(new_size);
+    if (fresh == nullptr)
+        return nullptr;
+    std::memcpy(fresh, ptr, old < new_size ? old : new_size);
+    a.free(ptr);
+    return fresh;
+}
+
 /** Abstract malloc/free provider. Implementations are thread-safe. */
 class Allocator
 {
@@ -53,24 +80,8 @@ class Allocator
     /** Allocate with alignment (power of two, <= one page). */
     virtual void* alloc_aligned(std::size_t alignment, std::size_t size) = 0;
 
-    /**
-     * Resize an allocation. The default implementation is
-     * allocate-copy-free; implementations with cheaper strategies
-     * override it.
-     */
-    virtual void*
-    realloc(void* ptr, std::size_t new_size)
-    {
-        if (ptr == nullptr)
-            return alloc(new_size);
-        if (new_size == 0)
-            new_size = 1;
-        const std::size_t old = usable_size(ptr);
-        void* fresh = alloc(new_size);
-        std::memcpy(fresh, ptr, old < new_size ? old : new_size);
-        free(ptr);
-        return fresh;
-    }
+    /** Resize an allocation: realloc_on() over this interface. */
+    void* realloc(void* ptr, std::size_t new_size);
 
     /** Current statistics snapshot. */
     virtual AllocatorStats stats() const = 0;
@@ -84,5 +95,11 @@ class Allocator
      */
     virtual void flush() {}
 };
+
+inline void*
+Allocator::realloc(void* ptr, std::size_t new_size)
+{
+    return realloc_on(*this, ptr, new_size);
+}
 
 }  // namespace msw::alloc

@@ -77,9 +77,6 @@ class JadeAllocator final : public Allocator
      */
     void free_direct(void* ptr);
 
-    /** Resize in place when possible, else allocate/copy/free. */
-    void* realloc(void* ptr, std::size_t new_size) override;
-
     /** True if @p addr lies inside the heap reservation. */
     bool
     contains(std::uintptr_t addr) const
@@ -185,6 +182,11 @@ class JadeAllocator final : public Allocator
     Arena* arenas_ = nullptr;  // [opts_.arenas], internally allocated
     pthread_key_t tcache_key_{};
 
+    // Written on every alloc and free: the cache line these counters
+    // start is theirs alone (the class's size rounds up to it), so the
+    // read-mostly policy_ above and whatever an owner places after this
+    // allocator are not invalidated by every operation.
+    alignas(64)
     std::atomic<std::size_t> live_bytes_{0};
     std::atomic<std::uint64_t> alloc_calls_{0};
     std::atomic<std::uint64_t> free_calls_{0};

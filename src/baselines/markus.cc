@@ -1,32 +1,42 @@
 #include "baselines/markus.h"
 
+#include <limits>
+
 #include "util/bits.h"
-#include "util/log.h"
 
 namespace msw::baseline {
 
-using core::Stat;
 using sweep::Range;
 
-core::QuarantineRuntime::Config
-MarkUs::make_config(const Options& opts)
+namespace {
+
+/** MarkUs as one core::Options value (the fidelity notes in markus.h). */
+core::Options
+core_options(const MarkUs::Options& opts)
 {
-    Config c;
-    c.jade = opts.jade;
-    c.reclaim.unmapping = opts.unmapping;
+    core::Options o;
+    o.jade = opts.jade;
+    // Background concurrent marking plus the STW recheck of dirty pages.
+    o.mode = core::Mode::kMostlyConcurrent;
+    o.sweep_threshold = 0.25;
+    o.min_sweep_bytes = opts.min_mark_bytes;
     // MarkUs does *not* zero freed data — reachability through the
     // quarantine is resolved by the transitive marking pass instead.
-    c.reclaim.zeroing = false;
-    c.control.background = opts.concurrent;
-    c.make_tracker = true;
-    // sweep_enabled, keep_failed and purging keep their defaults (MarkUs
-    // aggressively purges after a pass); no helper threads.
-    return c;
+    o.zeroing = false;
+    o.helper_threads = 0;
+    o.watchdog_timeout_ms = 0;
+    // No allocation backpressure, and unmapped quarantine never triggers
+    // a mark: no byte count reaches an infinite multiple of the
+    // footprint.
+    o.pause_factor = 0;
+    o.unmapped_factor = std::numeric_limits<double>::infinity();
+    return o;
 }
 
+}  // namespace
+
 MarkUs::MarkUs(const Options& opts)
-    : QuarantineRuntime(make_config(opts)),
-      opts_(opts)
+    : QuarantineRuntime(core_options(opts))
 {
     controller_.start();
 }
@@ -36,81 +46,6 @@ MarkUs::~MarkUs()
     // Before our members die: the sweep pass runs on the controller's
     // thread and calls back into this (derived) object's mark().
     controller_.shutdown();
-}
-
-void*
-MarkUs::alloc(std::size_t size)
-{
-    stats_.add(Stat::kAllocCalls);
-    void* p = jade_.alloc(size + 1);  // end-pointer slack, as MineSweeper
-    if (__builtin_expect(p != nullptr, 1))
-        return p;
-    return alloc_slow(size + 1, 0);
-}
-
-void*
-MarkUs::alloc_aligned(std::size_t alignment, std::size_t size)
-{
-    stats_.add(Stat::kAllocCalls);
-    void* p = jade_.alloc_aligned(alignment, size + 1);
-    if (__builtin_expect(p != nullptr, 1))
-        return p;
-    return alloc_slow(size + 1, alignment);
-}
-
-void*
-MarkUs::alloc_slow(std::size_t request, std::size_t alignment)
-{
-    // Memory pressure: marking passes both release unreferenced
-    // quarantined objects and purge the allocator's free structures
-    // (every pass ends with purge_all), so a forced pass is the strongest
-    // reclaim available. Match MineSweeper's contract: never abort,
-    // return nullptr only once reclaim stops helping.
-    for (unsigned attempt = 0; attempt < 3; ++attempt) {
-        force_sweep();
-        void* p = alignment == 0 ? jade_.alloc(request)
-                                 : jade_.alloc_aligned(alignment, request);
-        if (p != nullptr)
-            return p;
-    }
-    MSW_LOG_WARN("markus: returning nullptr for %zu-byte request after "
-                 "forced marking passes",
-                 request);
-    return nullptr;
-}
-
-void
-MarkUs::free(void* ptr)
-{
-    if (ptr == nullptr)
-        return;
-    stats_.add(Stat::kFreeCalls);
-    const FreeTarget t = classify(to_addr(ptr));
-
-    if (absorb_double_free(ptr, t.base))
-        return;
-
-    quarantine_.insert(
-        reclaimer_.quarantine_prepare(ptr, t.base, t.usable, t.is_large));
-    maybe_trigger_mark();
-}
-
-void
-MarkUs::maybe_trigger_mark()
-{
-    const std::size_t pending = quarantine_.pending_bytes();
-    if (pending < opts_.min_mark_bytes)
-        return;
-    const std::size_t failed = quarantine_.failed_bytes();
-    const std::size_t unmapped = quarantine_.unmapped_bytes();
-    const std::size_t jade_live = jade_.live_bytes();
-    const std::size_t heap =
-        jade_live > failed + unmapped ? jade_live - failed - unmapped : 0;
-    if (static_cast<double>(pending) <
-        opts_.quarantine_threshold * static_cast<double>(heap)) {
-        return;
-    }
-    controller_.request_sweep(/*pause_allocations=*/false);
 }
 
 void

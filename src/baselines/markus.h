@@ -13,21 +13,27 @@
  * per-word allocation lookups and mark-stack traffic — exactly the costs
  * MineSweeper's linear sweep eliminates (paper §4.1, §6.6).
  *
- * Everything shared with MineSweeper — extent hooks, quarantine epochs,
- * double-free bitmap, root/thread registration, marker-thread lifecycle,
- * deferred unmaps and the sweep pass itself (lock-in, STW recheck,
- * release, counters) — lives in core::QuarantineRuntime; this class
- * keeps only what makes MarkUs MarkUs: the transitive mark from the
- * roots and the 25 % trigger.
+ * Everything shared with MineSweeper — the allocation front end (end-
+ * pointer slack, hardened canary, retry/emergency-reclaim ladder, op
+ * timing, the trigger), extent hooks, quarantine epochs, double-free
+ * bitmap, root/thread registration, marker-thread lifecycle, deferred
+ * unmaps and the sweep pass itself (lock-in, STW recheck, release,
+ * counters) — lives in core::QuarantineRuntime. This class is only what
+ * makes MarkUs MarkUs: the transitive mark from the roots, and the one
+ * core::Options value (core_options() in markus.cc) that sets the
+ * configuration below. A MarkUs-vs-MineSweeper comparison therefore
+ * measures the two marks over the same front end and quarantine.
  *
  * Fidelity notes:
  *  - 25 % quarantine threshold (the paper's MarkUs configuration, §3.2);
  *  - no zeroing on free (MarkUs does not zero);
  *  - physical pages of large quarantined allocations are released, as in
- *    MarkUs (§4.2);
- *  - mostly-concurrent marking: a concurrent pass plus a stop-the-world
- *    recheck that rescans pages dirtied during marking and continues the
- *    transitive closure to a fixpoint (Boehm's mostly-parallel scheme).
+ *    MarkUs (§4.2), but unmapped quarantine never triggers a mark (no
+ *    9x rule) and allocations never pause (no §5.7 backpressure);
+ *  - mostly-concurrent marking on one background thread, no helpers and
+ *    no watchdog: a concurrent pass plus a stop-the-world recheck that
+ *    rescans pages dirtied during marking and continues the transitive
+ *    closure to a fixpoint (Boehm's mostly-parallel scheme).
  */
 #pragma once
 
@@ -41,13 +47,8 @@ class MarkUs final : public core::QuarantineRuntime
 {
   public:
     struct Options {
-        /** Mark when quarantine exceeds this fraction of the live heap. */
-        double quarantine_threshold = 0.25;
+        /** Do not mark below this many quarantined bytes. */
         std::size_t min_mark_bytes = std::size_t{1} << 20;
-        /** Release pages of large quarantined allocations. */
-        bool unmapping = true;
-        /** Run marking on a background thread. */
-        bool concurrent = true;
         alloc::JadeAllocator::Options jade{};
     };
 
@@ -58,15 +59,9 @@ class MarkUs final : public core::QuarantineRuntime
     MarkUs(const MarkUs&) = delete;
     MarkUs& operator=(const MarkUs&) = delete;
 
-    void* alloc(std::size_t size) override;
-    void free(void* ptr) override;
-    void* alloc_aligned(std::size_t alignment, std::size_t size) override;
     const char* name() const override { return "markus"; }
 
   private:
-    void maybe_trigger_mark();
-    /** Substrate-exhaustion path: forced marking passes, then nullptr. */
-    void* alloc_slow(std::size_t request, std::size_t alignment);
     /** Resident roots and stacks: the transitive mark's starting set. */
     std::vector<sweep::Range> scan_set() const override;
     /** Transitive closure from @p ranges (Boehm-style mark stack). */
@@ -79,10 +74,6 @@ class MarkUs final : public core::QuarantineRuntime
     MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD
     void scan_for_objects(std::uintptr_t base, std::size_t len,
                           std::vector<sweep::Range>* worklist);
-
-    static Config make_config(const Options& opts);
-
-    Options opts_;
 };
 
 }  // namespace msw::baseline

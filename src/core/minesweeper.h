@@ -22,10 +22,12 @@
  *  - every allocation is served with at least one byte of slack so
  *    one-past-the-end pointers keep their object quarantined.
  *
- * The sweep pass and its mechanism layers live in the QuarantineRuntime
- * base (see runtime_base.h). This class keeps the policy: the linear
- * mark (sweep::Marker) over its scan set, the trigger thresholds and the
- * allocation degradation ladder.
+ * The allocation front end, the trigger, the sweep pass and its
+ * mechanism layers live in the QuarantineRuntime base (see
+ * runtime_base.h). This class keeps only its mark — the linear
+ * sweep::Marker over the committed heap, roots, stacks and the extra-
+ * roots provider — plus the process-lifecycle hooks the shim needs;
+ * every other behaviour is a core::Options value.
  */
 #pragma once
 
@@ -47,14 +49,7 @@ class MineSweeper final : public QuarantineRuntime
     MineSweeper(const MineSweeper&) = delete;
     MineSweeper& operator=(const MineSweeper&) = delete;
 
-    // ------------------------------------------------------- Allocator
-    void* alloc(std::size_t size) override;
-    void free(void* ptr) override;
-    void* alloc_aligned(std::size_t alignment, std::size_t size) override;
     const char* name() const override { return "minesweeper"; }
-
-    /** realloc with quarantine-correct free of the old block. */
-    void* realloc(void* ptr, std::size_t new_size) override;
 
     /**
      * Install a callback producing *additional* root ranges, re-evaluated
@@ -66,8 +61,6 @@ class MineSweeper final : public QuarantineRuntime
      */
     void set_extra_roots_provider(
         std::function<std::vector<sweep::Range>()> provider);
-
-    const Options& options() const { return opts_; }
 
     // ------------------------------------------------- Process lifecycle
 
@@ -104,26 +97,10 @@ class MineSweeper final : public QuarantineRuntime
     std::uint64_t sweep_epoch() const { return controller_.sweeps_done(); }
 
   private:
-    /** free() body; the public entry only adds optional op timing. */
-    void free_impl(void* ptr);
-    void quarantine_free(void* ptr, std::uintptr_t base, std::size_t usable,
-                         bool is_large);
-    void maybe_trigger_sweep();
-
     /** Committed heap runs, roots, stacks and extra-provider ranges. */
     std::vector<sweep::Range> scan_set() const override;
     std::uint64_t mark(const std::vector<sweep::Range>& ranges) override;
 
-    /** Slow path once the substrate returns nullptr: retry with backoff,
-        interleaving emergency reclaims; nullptr only when exhausted. */
-    void* alloc_slow(std::size_t request, std::size_t alignment);
-
-    /** Synchronous sweep + full purge to free memory *now*. */
-    void emergency_reclaim();
-
-    static Config make_config(const Options& opts);
-
-    Options opts_;
     sweep::Marker marker_;
 
     // The provider is installed from the shim while the sweeper may be

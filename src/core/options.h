@@ -1,6 +1,10 @@
 /**
  * @file
- * MineSweeper configuration.
+ * The configuration record of both quarantine runtimes. MineSweeper
+ * takes it from the caller; MarkUs builds one value of it (see
+ * baselines/markus.cc). QuarantineRuntime reads every front-end
+ * behaviour from it: trigger, pause gate, retry ladder, partial
+ * versions.
  *
  * The toggles map one-to-one onto the paper's evaluation axes:
  *  - mode: fully concurrent vs mostly concurrent (stop-the-world recheck)

@@ -116,6 +116,10 @@ class Reclaimer
   private:
     void drain_pending_locked() MSW_REQUIRES(unmap_lock_);
 
+    /** quarantine_prepare() for a page-scale block under unmapping. */
+    quarantine::Entry quarantine_unmapped(void* ptr, std::uintptr_t base,
+                                          std::size_t usable);
+
     /** Zero (or policy-fill) a quarantined block of @p usable bytes. */
     void fill_free(void* ptr, std::size_t usable);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <utility>
 
 #include "alloc/extent.h"
@@ -109,35 +110,37 @@ class QuarantineRuntime::Hooks final : public alloc::ExtentHooks
     QuarantineRuntime* owner_;
 };
 
-QuarantineRuntime::QuarantineRuntime(const Config& config)
-    : config_([&] {
-          Config c = config;
+QuarantineRuntime::QuarantineRuntime(const Options& opts)
+    : options_([&] {
+          Options o = opts;
           // Quarantine runtimes replace decay purging with the post-sweep
           // full purge (§4.5); leaving decay on would purge behind the
           // page-access map's back from unhooked call sites.
-          c.jade.decay_ms = 0;
+          o.jade.decay_ms = 0;
           // Resolve the allocation policy exactly once, here, and hand
           // the same resolved pointer to every layer (substrate placement,
           // reclaimer fill, quarantine release order) so they cannot
           // disagree mid-run if MSW_POLICY changes.
-          c.policy = &alloc::resolve_policy(
-              c.policy != nullptr ? c.policy : c.jade.policy);
-          c.jade.policy = c.policy;
-          c.reclaim.policy = c.policy;
-          return c;
+          o.jade.policy = &alloc::resolve_policy(o.jade.policy);
+          return o;
       }()),
-      jade_(config_.jade),
+      jade_(options_.jade),
       mark_bits_(jade_.reservation().base(), jade_.reservation().size()),
       quarantine_bitmap_(jade_.reservation().base(),
                          jade_.reservation().size()),
       access_map_(jade_.reservation().base(), jade_.reservation().size()),
-      quarantine_(config_.tl_buffer_entries,
-                  config_.policy->shuffle != nullptr ? &shuffle_entries
-                                                     : nullptr,
-                  const_cast<alloc::AllocPolicy*>(config_.policy)),
-      reclaimer_(config_.reclaim, &jade_, &access_map_, &quarantine_bitmap_,
-                 &stats_),
-      controller_(config_.control, [this] { run_sweep(); }, &stats_)
+      quarantine_(options_.tl_buffer_entries,
+                  options_.jade.policy->shuffle != nullptr ? &shuffle_entries
+                                                           : nullptr,
+                  const_cast<alloc::AllocPolicy*>(options_.jade.policy)),
+      reclaimer_({.unmapping = options_.unmapping,
+                  .zeroing = options_.zeroing,
+                  .max_pending_unmaps = options_.max_pending_unmaps,
+                  .policy = options_.jade.policy},
+                 &jade_, &access_map_, &quarantine_bitmap_, &stats_),
+      controller_({.background = options_.mode != Mode::kSynchronous,
+                   .watchdog_timeout_ms = options_.watchdog_timeout_ms},
+                  [this] { run_sweep(); }, &stats_)
 {
     // Before any chaining SEGV handler below (the MprotectTracker) is
     // installed: the crash classifier must be the innermost handler so
@@ -147,7 +150,7 @@ QuarantineRuntime::QuarantineRuntime(const Config& config)
     hooks_ = std::make_unique<Hooks>(this, &jade_.reservation());
     jade_.extents().set_hooks(hooks_.get());
 
-    if (config_.make_tracker) {
+    if (options_.mode == Mode::kMostlyConcurrent) {
         tracker_ = sweep::make_dirty_tracker(&jade_.reservation());
         if (auto* mp =
                 dynamic_cast<sweep::MprotectTracker*>(tracker_.get())) {
@@ -159,9 +162,9 @@ QuarantineRuntime::QuarantineRuntime(const Config& config)
                 &access_map_);
         }
     }
-    if (config_.helper_threads > 0)
+    if (options_.helper_threads > 0)
         workers_ = std::make_unique<sweep::SweepWorkers>(
-            config_.helper_threads);
+            options_.helper_threads);
     // The derived constructor calls controller_.start() once every member
     // its mark touches exists.
 }
@@ -176,35 +179,238 @@ QuarantineRuntime::~QuarantineRuntime()
     jade_.extents().set_hooks(nullptr);
 }
 
-QuarantineRuntime::FreeTarget
-QuarantineRuntime::classify(std::uintptr_t addr) const
+// ----------------------------------------------------------------- alloc
+
+// Inline: alloc() and alloc_aligned() each carry the whole body, so the
+// front end adds no call or jump to the allocation path.
+inline void*
+QuarantineRuntime::alloc_impl(std::size_t size, std::size_t alignment)
 {
-    MSW_CHECK(jade_.contains(addr));
-    ExtentMeta* meta = jade_.extents().lookup_live(addr);
-    FreeTarget t;
-    if (meta->kind == ExtentKind::kLarge) {
-        t.base = meta->base;
-        t.usable = meta->bytes();
-        t.is_large = true;
-    } else {
-        const std::size_t obj = alloc::class_size(meta->cls);
-        t.base = meta->base + ((addr - meta->base) / obj) * obj;
-        t.usable = obj;
-        t.is_large = false;
-    }
-    MSW_CHECK(t.base == addr);
-    return t;
+    // Telemetry op sampling (MSW_TELEMETRY=ops): off means one relaxed
+    // load and a predicted-not-taken branch; on costs two clock reads.
+    const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
+    const std::uint64_t t0 = timed ? util::now_ns() : 0;
+    stats_.add(Stat::kAllocCalls);
+    controller_.maybe_pause();
+    // +1 byte so one-past-the-end pointers stay inside the allocation
+    // (paper §3.2); size classes are 16 B-granular so this usually costs
+    // nothing.
+    void* p = alignment > 0 ? jade_.alloc_aligned(alignment, size + 1)
+                            : jade_.alloc(size + 1);
+    if (__builtin_expect(p == nullptr, 0))
+        p = alloc_slow(size + 1, alignment);
+    // Hardened policy: arm the canary in the reserved slack byte. Under
+    // the default policy this is one predicted-not-taken branch.
+    const auto arm = options_.jade.policy->arm_canary;
+    if (__builtin_expect(arm != nullptr, 0) && p != nullptr)
+        arm(p, jade_.usable_size(p));
+    if (__builtin_expect(timed, 0))
+        metrics::telemetry().alloc_ns.record(util::now_ns() - t0);
+    return p;
 }
 
-bool
-QuarantineRuntime::absorb_double_free(void* ptr, std::uintptr_t base)
+void*
+QuarantineRuntime::alloc(std::size_t size)
 {
-    if (!quarantine_bitmap_.test_and_set(base))
-        return false;
-    stats_.add(Stat::kDoubleFrees);
-    if (config_.report_double_frees)
-        MSW_LOG_WARN("double free of %p absorbed", ptr);
-    return true;
+    return alloc_impl(size, 0);
+}
+
+void*
+QuarantineRuntime::alloc_aligned(std::size_t alignment, std::size_t size)
+{
+    return alloc_impl(size, alignment);
+}
+
+// msw-analyze: slow-path(runs only once the substrate returned
+// nullptr: the out-of-memory retry and emergency-reclaim ladder)
+void*
+QuarantineRuntime::alloc_slow(std::size_t request, std::size_t alignment)
+{
+    // Degradation ladder (never abort): the substrate failed, which means
+    // the heap VA is exhausted or a commit hit transient ENOMEM — both
+    // conditions a quarantine full of reclaimable memory can cause. Back
+    // off, then interleave retries with emergency reclaims; only report
+    // OOM to the caller once every attempt is spent.
+    unsigned backoff_us = options_.alloc_retry_backoff_us;
+    for (unsigned attempt = 0; attempt < options_.alloc_retry_attempts;
+         ++attempt) {
+        if (attempt > 0) {
+            // First retry is cheap (the kernel may just have been briefly
+            // unwilling); later ones drain quarantine first.
+            emergency_reclaim();
+        }
+        if (backoff_us > 0) {
+            ::usleep(backoff_us);
+            backoff_us *= 2;
+        }
+        stats_.add(Stat::kCommitRetries);
+        void* p = alignment > 0 ? jade_.alloc_aligned(alignment, request)
+                                : jade_.alloc(request);
+        if (p != nullptr)
+            return p;
+    }
+    stats_.add(Stat::kOomReturns);
+    metrics::telemetry().trace_event(TraceEvent::kOomReturn, request);
+    MSW_LOG_WARN("alloc of %zu bytes failed after %u attempts with "
+                 "emergency sweeps; returning nullptr",
+                 request, options_.alloc_retry_attempts);
+    return nullptr;
+}
+
+void
+QuarantineRuntime::emergency_reclaim()
+{
+    stats_.add(Stat::kEmergencySweeps);
+    metrics::telemetry().trace_event(TraceEvent::kEmergencySweep);
+    if (!SweepController::in_sweep_context()) {
+        quarantine_.flush_thread_buffer();
+        if (!controller_.run_sweep_now()) {
+            // Another thread owns the sweep; give it a moment to finish
+            // so the purge below sees its released extents.
+            controller_.wait_for_sweep_completion(100);
+        }
+    }
+    // Return every free extent's pages to the OS so the next commit can
+    // succeed even when the kernel is the constraint.
+    jade_.purge_all();
+}
+
+// ------------------------------------------------------------------ free
+
+void
+QuarantineRuntime::free(void* ptr)
+{
+    if (ptr == nullptr)
+        return;
+    // Same sampling shape as alloc(): gate cost when off is one relaxed
+    // load; the early returns inside free_impl stay untouched.
+    const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
+    if (!timed) {
+        free_impl(ptr);
+        return;
+    }
+    const std::uint64_t t0 = util::now_ns();
+    free_impl(ptr);
+    metrics::telemetry().free_ns.record(util::now_ns() - t0);
+}
+
+void
+QuarantineRuntime::free_impl(void* ptr)
+{
+    stats_.add(Stat::kFreeCalls);
+    // Resolve the block; base==addr is checked (invalid or interior
+    // frees are programming errors, as in the paper).
+    const std::uintptr_t addr = to_addr(ptr);
+    MSW_CHECK(jade_.contains(addr));
+    const ExtentMeta* meta = jade_.extents().lookup_live(addr);
+    const bool is_large = meta->kind == ExtentKind::kLarge;
+    std::uintptr_t base;
+    std::size_t usable;
+    if (is_large) {
+        base = meta->base;
+        usable = meta->bytes();
+    } else {
+        usable = alloc::class_size(meta->cls);
+        base = meta->base + ((addr - meta->base) / usable) * usable;
+    }
+    MSW_CHECK(base == addr);
+
+    // Double-free de-duplication (paper §3): while the allocation is in
+    // quarantine, further frees are idempotent. Checked before the canary:
+    // the quarantine fill already overwrote the canary of a freed block,
+    // so testing it again on a double free would false-positive.
+    if (quarantine_bitmap_.test_and_set(base)) {
+        stats_.add(Stat::kDoubleFrees);
+        if (options_.report_double_frees)
+            MSW_LOG_WARN("double free of %p absorbed", ptr);
+        return;
+    }
+
+    const auto check = options_.jade.policy->check_canary;
+    if (__builtin_expect(check != nullptr, 0)) {
+        stats_.add(Stat::kCanaryChecks);
+        if (!check(ptr, usable)) {
+            stats_.add(Stat::kCanaryViolations);
+            alloc::policy_violation("heap-overflow canary clobbered at free",
+                                    ptr);
+        }
+    }
+
+    if (!options_.quarantine_enabled) {
+        // Partial versions 1-2 (§5.5): apply unmap/zero side effects, then
+        // forward straight to the allocator.
+        if (options_.unmapping && is_large) {
+            if (jade_.reservation().decommit(base, usable) ==
+                vm::VmStatus::kOk) {
+                if (!reclaimer_.protect_rw_with_retry(base, usable)) {
+                    // Pages stuck inaccessible: handing them back for
+                    // reuse would fault the program. Keep the block
+                    // quarantined (bounded leak) instead of crashing.
+                    quarantine_.insert(Entry::make(base, usable, true));
+                    return;
+                }
+            } else if (options_.zeroing) {
+                std::memset(ptr, 0, usable);
+            }
+        } else if (options_.zeroing) {
+            std::memset(ptr, 0, usable);
+        }
+        quarantine_bitmap_.clear(base);
+        jade_.free(ptr);
+        return;
+    }
+
+    quarantine_.insert(
+        reclaimer_.quarantine_prepare(ptr, base, usable, is_large));
+    maybe_trigger_sweep();
+}
+
+// ------------------------------------------------------------- triggering
+
+void
+QuarantineRuntime::maybe_trigger_sweep()
+{
+    const std::size_t pending = quarantine_.pending_bytes();
+    if (pending < options_.min_sweep_bytes &&
+        quarantine_.unmapped_bytes() < options_.min_sweep_bytes) {
+        return;
+    }
+    const std::size_t failed = quarantine_.failed_bytes();
+    const std::size_t unmapped = quarantine_.unmapped_bytes();
+    const std::size_t jade_live = jade_.live_bytes();
+    // Heap size for the trigger: total live bytes minus failed frees
+    // (subtracted from both sides, §3.2) minus unmapped quarantine (which
+    // no longer consumes memory, §4.2).
+    const std::size_t heap =
+        jade_live > failed + unmapped ? jade_live - failed - unmapped : 0;
+
+    bool trigger =
+        pending >= options_.min_sweep_bytes &&
+        static_cast<double>(pending) >=
+            options_.sweep_threshold * static_cast<double>(heap);
+
+    // Unmapped quarantine pressures kernel/allocator metadata even though
+    // it holds no memory: sweep when it reaches 9x the footprint (§4.2).
+    if (!trigger && unmapped >= options_.min_sweep_bytes &&
+        static_cast<double>(unmapped) >=
+            options_.unmapped_factor *
+                static_cast<double>(access_map_.committed_bytes())) {
+        trigger = true;
+    }
+
+    if (!trigger)
+        return;
+
+    // Backpressure (§5.7): if the quarantine has grown far past the heap
+    // while a sweep is running, pause this allocating thread until the
+    // sweep completes.
+    const bool pause =
+        options_.pause_factor > 0 &&
+        static_cast<double>(pending) >
+            options_.pause_factor *
+                static_cast<double>(heap > pending ? heap - pending
+                                                   : pending);
+    controller_.request_sweep(pause);
 }
 
 std::size_t
@@ -247,7 +453,7 @@ QuarantineRuntime::run_sweep()
         return;
     }
     // lock_in already ran the policy's release-order shuffle; count it.
-    if (config_.policy->shuffle != nullptr)
+    if (options_.jade.policy->shuffle != nullptr)
         stats_.add(Stat::kReleaseShuffles);
 
     const std::uint64_t cpu0 = util::thread_cpu_ns();
@@ -257,7 +463,7 @@ QuarantineRuntime::run_sweep()
     tele.trace_event(TraceEvent::kSweepBegin, locked_in.size());
     PhaseScope whole(stats_, Stat::kSweepWallNs, TraceEvent::kSweepEnd);
 
-    if (config_.sweep_enabled) {
+    if (options_.sweep_enabled) {
         {
             // Phase 1a (dirty-scan): arm the write tracker over the
             // ranges whose mutations the STW recheck must observe.
@@ -320,8 +526,9 @@ QuarantineRuntime::run_sweep()
     // in quarantine is a write-after-free. Needs the fill to have been
     // written in the first place, hence the zeroing gate; unmapped
     // entries have no bytes to audit.
-    const auto check_fill =
-        config_.reclaim.zeroing ? config_.policy->check_free_fill : nullptr;
+    const auto check_fill = options_.zeroing
+                                ? options_.jade.policy->check_free_fill
+                                : nullptr;
     std::vector<ReleaseTally> per_worker(
         workers_ != nullptr ? workers_->count() : 1);
     std::atomic<std::size_t> next{0};
@@ -345,7 +552,7 @@ QuarantineRuntime::run_sweep()
                 const Entry& e = locked_in[i];
                 if (mark_bits_.test_range(e.real_base(), e.usable)) {
                     ++t.failed;
-                    if (config_.keep_failed) {
+                    if (options_.keep_failed) {
                         t.failed_entries.push_back(e);
                         continue;
                     }
@@ -399,7 +606,7 @@ QuarantineRuntime::run_sweep()
     reclaimer_.end_scan();
 
     // §4.5: full allocator purge synchronised with the end of the sweep.
-    if (config_.purging)
+    if (options_.purging)
         jade_.purge_all();
 
     const std::uint64_t helpers1 =

@@ -5,22 +5,29 @@
  *   alloc::Allocator                    the drop-in malloc interface
  *     └─ RuntimeBase                    sharded statistics surface
  *          ├─ FFMalloc                  (one-time allocator; no quarantine)
- *          └─ QuarantineRuntime         jade substrate + quarantine epochs
+ *          └─ QuarantineRuntime         the allocation front end
+ *               │                       + jade substrate + quarantine
  *               │                       + committed-page hooks + roots
  *               │                       + reclaimer + sweep controller
  *               │                       + the sweep pass itself
  *               ├─ MineSweeper          linear mark (paper §3–§4)
  *               └─ MarkUs               transitive conservative mark
  *
- * QuarantineRuntime owns the whole sweep pass, written once: lock in the
+ * QuarantineRuntime owns the allocation front end, written once: alloc
+ * with end-pointer slack and the hardened canary, the retry/emergency-
+ * reclaim ladder, free into quarantine (or, for the §5.5 partial
+ * versions, straight back to the substrate), and the sweep trigger with
+ * its backpressure gate. It also owns the whole sweep pass: lock in the
  * quarantine epoch, arm the dirty tracker, mark concurrently, recheck
  * dirty pages, stacks and registers with the world stopped, drain
  * deferred unmaps, release every unmarked entry and keep the rest as
- * failed frees, purge. It also owns the layers that pass runs on —
- * SweepController (when sweeps run), Reclaimer (how memory comes back),
- * StatCells (how everything counts) — so both runtimes are timed and
- * counted by the same code. A derived class owns only its mark (the
- * initial scan set and the mark(ranges) hook) and its trigger policy.
+ * failed frees, purge. The layers that pass runs on — SweepController
+ * (when sweeps run), Reclaimer (how memory comes back), StatCells (how
+ * everything counts) — live here too, so both runtimes are timed and
+ * counted by the same code. A derived runtime owns only its mark (the
+ * initial scan set and the mark(ranges) hook) and the one core::Options
+ * value it passes to the constructor; every front-end behaviour,
+ * trigger included, is a value in that record.
  */
 #pragma once
 
@@ -29,6 +36,7 @@
 
 #include "alloc/allocator.h"
 #include "alloc/jade_allocator.h"
+#include "core/options.h"
 #include "core/reclaimer.h"
 #include "core/stat_cells.h"
 #include "core/sweep_controller.h"
@@ -61,44 +69,25 @@ class RuntimeBase : public alloc::Allocator
 
 /**
  * Shared plumbing for quarantine-based runtimes sitting on the JadeHeap
- * substrate: the committed-page hooks, the quarantine epochs and
- * double-free bitmap, root/thread registration, the reclaimer, the sweep
- * controller and the sweep pass. Derived classes provide the mark
- * (scan_set() + mark()) and the trigger policy.
+ * substrate: the allocation front end, the committed-page hooks, the
+ * quarantine epochs and double-free bitmap, root/thread registration,
+ * the reclaimer, the sweep controller and the sweep pass. Derived
+ * classes provide the mark (scan_set() + mark()).
  */
 class QuarantineRuntime : public RuntimeBase
 {
   public:
-    struct Config {
-        alloc::JadeAllocator::Options jade{};
-        std::size_t tl_buffer_entries = 64;
-        Reclaimer::Config reclaim{};
-        SweepController::Config control{};
-        /** Create a dirty tracker (mostly-concurrent marking). */
-        bool make_tracker = false;
-        /** Report absorbed double frees to stderr (debug mode, §3). */
-        bool report_double_frees = false;
-        /** Mark before releasing; false releases every locked-in entry
-            unconditionally (§5.5 partial versions 3-4). */
-        bool sweep_enabled = true;
-        /** Keep marked entries quarantined as failed frees; false
-            releases them anyway (§5.5 version 5; unsafe). */
-        bool keep_failed = true;
-        /** Full allocator purge after every sweep (§4.5). */
-        bool purging = true;
-        /** Helper threads sharing the mark and release (§4.4). */
-        unsigned helper_threads = 0;
-        /**
-         * Allocation policy for the whole runtime (substrate placement,
-         * quarantine fill/canary, release ordering). The constructor
-         * resolves this once — from jade.policy or MSW_POLICY — and
-         * copies the resolved pointer into jade.policy and
-         * reclaim.policy so every layer agrees; never null afterwards.
-         */
-        const alloc::AllocPolicy* policy = nullptr;
-    };
-
     ~QuarantineRuntime() override;
+
+    // ------------------------------------------------------- Allocator
+
+    /** Served with one byte of end-pointer slack (paper §3.2); never
+        aborts — nullptr only once the reclaim ladder is exhausted. */
+    void* alloc(std::size_t size) override;
+    void* alloc_aligned(std::size_t alignment, std::size_t size) override;
+    /** Quarantines the block (zero-filled or unmapped) and may trigger
+        a sweep; double frees of a quarantined block are absorbed. */
+    void free(void* ptr) override;
 
     // ------------------------------------------------------ Roots/threads
 
@@ -162,7 +151,7 @@ class QuarantineRuntime : public RuntimeBase
      * its mark touches exists, and its destructor calls
      * controller_.shutdown() before those members die.
      */
-    explicit QuarantineRuntime(const Config& config);
+    explicit QuarantineRuntime(const Options& opts);
 
     /** The ranges the concurrent mark pass starts from. */
     virtual std::vector<sweep::Range> scan_set() const = 0;
@@ -174,24 +163,12 @@ class QuarantineRuntime : public RuntimeBase
      */
     virtual std::uint64_t mark(const std::vector<sweep::Range>& ranges) = 0;
 
-    /** A freed pointer resolved against the substrate's metadata. */
-    struct FreeTarget {
-        std::uintptr_t base;
-        std::size_t usable;
-        bool is_large;
-    };
-
-    /** Resolve @p addr to its allocation; checks base==addr (invalid or
-        interior frees are programming errors, as in the paper). */
-    FreeTarget classify(std::uintptr_t addr) const;
-
     /**
-     * Double-free de-duplication (paper §3): returns true (and counts)
-     * if @p base is already quarantined — the free is idempotent.
+     * The configuration in effect: the caller's record with the
+     * allocation policy resolved once (options_.jade.policy is never
+     * null) and substrate decay purging off (§4.5).
      */
-    bool absorb_double_free(void* ptr, std::uintptr_t base);
-
-    Config config_;
+    const Options options_;
     alloc::JadeAllocator jade_;
     sweep::ShadowMap mark_bits_;         ///< Per-sweep mark bits.
     sweep::ShadowMap quarantine_bitmap_; ///< Double-free de-dup.
@@ -205,6 +182,23 @@ class QuarantineRuntime : public RuntimeBase
 
   private:
     class Hooks;
+
+    /** alloc() and alloc_aligned() (alignment 0: none). */
+    void* alloc_impl(std::size_t size, std::size_t alignment);
+
+    /** Slow path once the substrate returns nullptr: retry with backoff,
+        interleaving emergency reclaims; nullptr only when exhausted. */
+    void* alloc_slow(std::size_t request, std::size_t alignment);
+
+    /** Synchronous sweep + full purge to free memory *now*. */
+    void emergency_reclaim();
+
+    /** free() body; the public entry only adds optional op timing. */
+    void free_impl(void* ptr);
+
+    /** Request a sweep once the quarantine crosses a trigger (§3.2,
+        §4.2), raising the pause gate past pause_factor (§5.7). */
+    void maybe_trigger_sweep();
 
     /** One sweep pass: lock in, mark, STW recheck, drain, release. */
     void run_sweep();

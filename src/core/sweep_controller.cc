@@ -198,6 +198,8 @@ SweepController::ensure_sweeper()
     sweeper_needs_respawn_.store(false, std::memory_order_release);
 }
 
+// msw-analyze: slow-path(the sweep trigger: runs only once the
+// quarantine has crossed a threshold)
 void
 SweepController::request_sweep(bool pause_allocations)
 {
@@ -226,7 +228,7 @@ SweepController::request_sweep(bool pause_allocations)
 }
 
 bool
-SweepController::run_sweep_now()
+SweepController::claim_and_sweep(bool by_sweeper)
 {
     // A forking thread is waiting for the token; don't feed it new
     // sweeps. Callers treat `false` as "someone else owns progress" and
@@ -240,9 +242,10 @@ SweepController::run_sweep_now()
     }
     {
         MutexGuard g(sweep_mu_);
-        if (shutdown_) {
+        if (shutdown_ || (by_sweeper && !sweep_requested_)) {
             // Do not start new sweeps during teardown; shutdown() is
-            // waiting to claim this token.
+            // waiting to claim this token. Nor does the sweeper run one
+            // for a request a fallback sweep served meanwhile.
             sweep_in_progress_.store(false, std::memory_order_release);
             return false;
         }
@@ -250,6 +253,13 @@ SweepController::run_sweep_now()
         ++sweeps_started_;
         // msw-relaxed(sweeper-token): heartbeat clear under sweep_mu_.
         sweep_request_ns_.store(0, std::memory_order_relaxed);
+        if (by_sweeper) {
+            // The background sweeper serving a request is alive
+            // again: clear the stall latch.
+            // msw-relaxed(sweeper-token): written under sweep_mu_; the
+            // unlocked watchdog read tolerates one period of staleness.
+            watchdog_tripped_.store(false, std::memory_order_relaxed);
+        }
     }
     sweep_fn_();
     {
@@ -316,6 +326,14 @@ SweepController::maybe_pause()
         !pause_flag_.load(std::memory_order_relaxed)) {
         return;
     }
+    pause_until_swept();
+}
+
+// msw-analyze: slow-path(backpressure, paper §5.7: runs only while a
+// sweep holds the pause gate up)
+void
+SweepController::pause_until_swept()
+{
     {
         // Only reached when the thread actually pauses, so the timer is
         // off the allocation fast path.
@@ -475,33 +493,15 @@ SweepController::sweeper_loop()
                                });
             continue;
         }
-        bool expected = false;
-        if (fork_pending_.load(std::memory_order_acquire) ||
-            !sweep_in_progress_.compare_exchange_strong(
-                expected, true, std::memory_order_acquire)) {
-            // A watchdog fallback owns the sweep, or a fork is
-            // quiescing; either clears the request / gate and notifies
-            // (or we re-check) when done.
-            sweep_done_cv_.wait_for(l, std::chrono::milliseconds(1));
-            continue;
-        }
-        sweep_requested_ = false;
-        ++sweeps_started_;
-        // Heartbeat: the request is being served, so the sweeper is
-        // alive again — clear the stall latch.
-        // msw-relaxed(sweeper-token): written under sweep_mu_; the
-        // unlocked watchdog read tolerates one period of staleness.
-        sweep_request_ns_.store(0, std::memory_order_relaxed);
-        watchdog_tripped_.store(false, std::memory_order_relaxed);
         l.unlock();
-        sweep_fn_();
+        const bool served = claim_and_sweep(/*by_sweeper=*/true);
         l.lock();
-        sweep_in_progress_.store(false, std::memory_order_release);
-        // msw-relaxed(sweeper-token): written under sweep_mu_; waiters
-        // re-read them under the same mutex in their cv predicates.
-        pause_flag_.store(false, std::memory_order_relaxed);
-        sweeps_done_.fetch_add(1, std::memory_order_relaxed);
-        sweep_done_cv_.notify_all();
+        if (!served) {
+            // A fallback sweep owns the token (or already served the
+            // request), or a fork is quiescing; either clears the
+            // request / gate and notifies (or we re-check) when done.
+            sweep_done_cv_.wait_for(l, std::chrono::milliseconds(1));
+        }
     }
 }
 

@@ -95,7 +95,11 @@ class SweepController
      * (single-sweeper invariant via CAS). Returns false if another thread
      * holds the sweep or shutdown has begun.
      */
-    bool run_sweep_now();
+    bool
+    run_sweep_now()
+    {
+        return claim_and_sweep(/*by_sweeper=*/false);
+    }
 
     /**
      * Request a sweep and wait for one that starts after this call to
@@ -191,11 +195,24 @@ class SweepController
   private:
     void sweeper_loop();
 
+    /**
+     * The one sweep-claim path: take the single-sweep token (unless a
+     * fork is quiescing), record the start, run sweep_fn_, record the
+     * completion and notify. The background sweeper passes
+     * @p by_sweeper: it runs only while its request is still pending,
+     * and serving clears the watchdog's stall latch.
+     */
+    bool claim_and_sweep(bool by_sweeper);
+
     /** Serve a pending post-fork lazy respawn of the sweeper thread. */
     void ensure_sweeper();
 
     /** Sweep on the calling thread for a missed deadline; counts it. */
     void fallback_sweep();
+
+    /** maybe_pause() once the gate is up: wait for the sweep (bounded
+        by the watchdog deadline), accounting kPauseNs. */
+    void pause_until_swept();
 
     Config config_;
     std::function<void()> sweep_fn_;

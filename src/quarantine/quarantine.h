@@ -178,6 +178,8 @@ class Quarantine
     };
 
     ThreadBuffer* get_buffer();
+    /** Map and register the calling thread's buffer (first use). */
+    ThreadBuffer* make_buffer();
     void flush_buffer_locked(ThreadBuffer* buf) MSW_REQUIRES(lock_);
     static void buffer_destructor(void* arg);
 

@@ -312,7 +312,8 @@ realloc(void* ptr, std::size_t size)
     }
     if (ms == nullptr)
         return boot_alloc(size);
-    void* p = ms->realloc(ptr, size);  // keeps the original on failure
+    // Keeps the original on failure; direct calls into the final type.
+    void* p = msw::alloc::realloc_on(*ms, ptr, size);
     if (p == nullptr && size != 0) {
         errno = ENOMEM;
         return nullptr;

@@ -9,6 +9,7 @@
 
 #include "baselines/ffmalloc.h"
 #include "baselines/markus.h"
+#include "core/minesweeper.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -164,6 +165,39 @@ TEST_F(MarkUsTest, ChurnReleasesMemory)
     EXPECT_LE(st.entries_released, kFrees);
 }
 
+// --------------------------------------------------- shared front end
+
+TEST(FrontEndTrigger, UnmappedQuarantineSweepsMineSweeperNotMarkUs)
+{
+    // Page-scale frees only: every entry is unmapped, so the mapped
+    // quarantine stays empty and only the unmapped trigger (§4.2) can
+    // fire. MineSweeper has it; MarkUs is configured without it, and
+    // without allocation backpressure.
+    core::Options mo;
+    mo.min_sweep_bytes = std::size_t{64} << 10;
+    mo.jade.heap_bytes = std::size_t{1} << 30;
+    core::MineSweeper ms(mo);
+    MarkUs::Options uo;
+    uo.min_mark_bytes = mo.min_sweep_bytes;
+    uo.jade.heap_bytes = mo.jade.heap_bytes;
+    MarkUs mu(uo);
+
+    for (core::QuarantineRuntime* rt :
+         {static_cast<core::QuarantineRuntime*>(&ms),
+          static_cast<core::QuarantineRuntime*>(&mu)}) {
+        for (int i = 0; i < 256; ++i) {
+            void* p = rt->alloc(std::size_t{64} << 10);
+            ASSERT_NE(p, nullptr);
+            rt->free(p);
+        }
+        rt->flush();
+    }
+    EXPECT_GT(ms.sweep_stats().sweeps, 0u);
+    EXPECT_EQ(mu.sweep_stats().sweeps, 0u);
+    EXPECT_GT(mu.sweep_stats().unmapped_entries, 0u);
+    EXPECT_EQ(mu.sweep_stats().pause_ns, 0u);
+}
+
 // ------------------------------------------------------------ FFMalloc
 
 class FFMallocTest : public ::testing::Test
@@ -311,6 +345,22 @@ TEST_F(FFMallocTest, UsableSizeForLarge)
     void* p = ff.alloc(100000);
     EXPECT_GE(ff.usable_size(p), 100000u);
     ff.free(p);
+}
+
+TEST_F(FFMallocTest, ReallocFailureKeepsOriginalBlock)
+{
+    FFMalloc::Options o;
+    o.va_bytes = std::size_t{16} << 20;
+    FFMalloc small(o);
+    auto* p = static_cast<unsigned char*>(small.alloc(1000));
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0x3c, 1000);
+    // Growing past the whole reservation cannot succeed: realloc must
+    // report the failure and leave the original block valid and intact.
+    EXPECT_EQ(small.realloc(p, std::size_t{32} << 20), nullptr);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(p[i], 0x3c) << i;
+    small.free(p);
 }
 
 TEST_F(FFMallocTest, StatsCountCalls)

@@ -7,10 +7,14 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "alloc/jade_allocator.h"
 #include "alloc/policy.h"
+#include "baselines/markus.h"
 #include "core/minesweeper.h"
 #include "util/bits.h"
 
@@ -199,14 +203,33 @@ TEST(HardenedRuntime, DefaultPolicyKeepsCountersAtZero)
     EXPECT_EQ(s.release_shuffles, 0u);
 }
 
-using HardenedDeathTest = ::testing::Test;
+/**
+ * A quarantine runtime under the hardened policy, built by a factory
+ * (the runtime_ledger_test pattern): both runtimes share the front end
+ * that arms and checks the canary.
+ */
+struct RuntimeCase {
+    const char* name;
+    std::unique_ptr<QuarantineRuntime> (*make)();
+};
 
-TEST(HardenedDeathTest, OverflowCanaryTripsAtFree)
+void
+PrintTo(const RuntimeCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+class HardenedCanaryDeathTest : public ::testing::TestWithParam<RuntimeCase>
+{
+};
+
+TEST_P(HardenedCanaryDeathTest, OverflowCanaryTripsAtFree)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(
         {
-            MineSweeper ms(hardened_options());
+            const std::unique_ptr<QuarantineRuntime> rt = GetParam().make();
+            QuarantineRuntime& ms = *rt;
             char* p = static_cast<char*>(ms.alloc(40));
             // usable_size() excludes the reserved slack byte; writing it
             // is a one-byte heap overflow onto the canary.
@@ -215,6 +238,27 @@ TEST(HardenedDeathTest, OverflowCanaryTripsAtFree)
         },
         "allocation policy violation");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Runtimes, HardenedCanaryDeathTest,
+    ::testing::Values(
+        RuntimeCase{"minesweeper",
+                    []() -> std::unique_ptr<QuarantineRuntime> {
+                        return std::make_unique<MineSweeper>(
+                            hardened_options());
+                    }},
+        RuntimeCase{"markus",
+                    []() -> std::unique_ptr<QuarantineRuntime> {
+                        baseline::MarkUs::Options o;
+                        o.jade.heap_bytes = std::size_t{1} << 30;
+                        o.jade.policy = &alloc::hardened_policy();
+                        return std::make_unique<baseline::MarkUs>(o);
+                    }}),
+    [](const ::testing::TestParamInfo<RuntimeCase>& info) {
+        return std::string(info.param.name);
+    });
+
+using HardenedDeathTest = ::testing::Test;
 
 TEST(HardenedDeathTest, QuarantineTamperTripsAtSweep)
 {

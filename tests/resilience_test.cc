@@ -9,9 +9,12 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/markus.h"
 #include "core/minesweeper.h"
 #include "util/failpoint.h"
 #include "workload/attack.h"
@@ -103,13 +106,31 @@ TEST_F(ResilienceTest, EmergencySweepRecoversExhaustedHeap)
         ms.free(p);
 }
 
-TEST_F(ResilienceTest, NullptrOnlyAfterReclaimIsExhausted)
+/**
+ * A quarantine runtime built by a factory (the runtime_ledger_test
+ * pattern): the front-end contract below holds for MineSweeper and
+ * MarkUs alike, since both run the same QuarantineRuntime front end.
+ */
+struct RuntimeCase {
+    const char* name;
+    std::unique_ptr<QuarantineRuntime> (*make)();
+};
+
+void
+PrintTo(const RuntimeCase& c, std::ostream* os)
 {
-    Options o = manual_sweep_options();
-    o.jade.heap_bytes = 32 << 20;
-    o.alloc_retry_attempts = 2;
-    o.alloc_retry_backoff_us = 1;
-    MineSweeper ms(o);
+    *os << c.name;
+}
+
+class ResilienceRuntimeTest : public ResilienceTest,
+                              public ::testing::WithParamInterface<RuntimeCase>
+{
+};
+
+TEST_P(ResilienceRuntimeTest, NullptrOnlyAfterReclaimIsExhausted)
+{
+    const std::unique_ptr<QuarantineRuntime> rt = GetParam().make();
+    QuarantineRuntime& ms = *rt;
 
     // Fill the heap with *live* blocks: reclaim cannot help here, so the
     // allocator must eventually return nullptr — and must not abort.
@@ -140,6 +161,28 @@ TEST_F(ResilienceTest, NullptrOnlyAfterReclaimIsExhausted)
     for (void* p : live)
         ms.free(p);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Runtimes, ResilienceRuntimeTest,
+    ::testing::Values(
+        RuntimeCase{"minesweeper",
+                    []() -> std::unique_ptr<QuarantineRuntime> {
+                        Options o = manual_sweep_options();
+                        o.jade.heap_bytes = 32 << 20;
+                        o.alloc_retry_attempts = 2;
+                        o.alloc_retry_backoff_us = 1;
+                        return std::make_unique<MineSweeper>(o);
+                    }},
+        RuntimeCase{"markus",
+                    []() -> std::unique_ptr<QuarantineRuntime> {
+                        baseline::MarkUs::Options o;
+                        o.min_mark_bytes = ~std::size_t{0};
+                        o.jade.heap_bytes = 32 << 20;
+                        return std::make_unique<baseline::MarkUs>(o);
+                    }}),
+    [](const ::testing::TestParamInfo<RuntimeCase>& info) {
+        return std::string(info.param.name);
+    });
 
 TEST_F(ResilienceTest, WatchdogFallsBackWhenSweeperStalls)
 {
