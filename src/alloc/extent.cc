@@ -16,7 +16,7 @@ MetaPool::MetaPool(std::size_t capacity_bytes)
 ExtentMeta*
 MetaPool::alloc()
 {
-    LockGuard g(lock_);
+    LockGuard pool_guard(lock_);
     if (free_list_ != nullptr) {
         ExtentMeta* m = free_list_;
         free_list_ = m->next;
@@ -44,7 +44,7 @@ MetaPool::alloc()
 void
 MetaPool::free(ExtentMeta* meta)
 {
-    LockGuard g(lock_);
+    LockGuard pool_guard(lock_);
     meta->next = free_list_;
     free_list_ = meta;
 }

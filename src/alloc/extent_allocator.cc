@@ -184,7 +184,7 @@ ExtentAllocator::alloc_extent(std::size_t pages, ExtentKind kind,
     MSW_CHECK(kind != ExtentKind::kFree);
     MSW_DCHECK(is_pow2(align_pages));
 
-    LockGuard g(lock_);
+    LockGuard extent_guard(lock_);
     ExtentMeta* e = take_free_extent(pages, align_pages);
     if (e == nullptr) {
         // Extend the bump frontier.
@@ -241,7 +241,7 @@ ExtentAllocator::alloc_extent(std::size_t pages, ExtentKind kind,
 void
 ExtentAllocator::free_extent(ExtentMeta* e)
 {
-    LockGuard g(lock_);
+    LockGuard extent_guard(lock_);
     MSW_DCHECK(e->kind != ExtentKind::kFree);
     MSW_DCHECK(active_bytes_ >= e->bytes());
     active_bytes_ -= e->bytes();

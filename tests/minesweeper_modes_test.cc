@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc/policy.h"
 #include "baselines/markus.h"
 #include "core/minesweeper.h"
 #include "util/rng.h"
@@ -306,6 +307,9 @@ TEST(PartialVersions, NoQuarantineForwardsImmediately)
     Options o = base_options(Mode::kSynchronous);
     o.quarantine_enabled = false;
     o.helper_threads = 0;
+    // The q == p check below is the default policy's LIFO reuse; pin it
+    // so an MSW_POLICY=hardened environment cannot randomize the pick.
+    o.jade.policy = &alloc::default_policy();
     MineSweeper ms(o);
     void* p = ms.alloc(64);
     ms.free(p);
