@@ -148,8 +148,11 @@ main()
         std::fprintf(
             json, "      \"phase_release_ns\": %llu,\n",
             static_cast<unsigned long long>(r.phase_release_ns));
-        std::fprintf(json, "      \"sweep_wall_ns\": %llu\n",
+        std::fprintf(json, "      \"sweep_wall_ns\": %llu,\n",
                      static_cast<unsigned long long>(r.sweep_wall_ns));
+        std::fprintf(
+            json, "      \"release_bin_locks\": %llu\n",
+            static_cast<unsigned long long>(r.release_bin_locks));
         std::fprintf(json, "    }%s\n",
                      i + 1 == systems.size() ? "" : ",");
     }

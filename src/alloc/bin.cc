@@ -93,8 +93,8 @@ Bin::alloc_batch(void** out, unsigned n)
     return produced;
 }
 
-void
-Bin::free_one(void* ptr, ExtentMeta* meta)
+ExtentMeta*
+Bin::free_locked(void* ptr, ExtentMeta* meta)
 {
     MSW_DCHECK(meta->kind == ExtentKind::kSlab && meta->cls == cls_);
     const std::size_t obj_size = class_size(cls_);
@@ -103,21 +103,39 @@ Bin::free_one(void* ptr, ExtentMeta* meta)
     const unsigned slot = static_cast<unsigned>(offset / obj_size);
     const unsigned nslots = slab_slots(cls_);
 
-    LockGuard g(lock_);
     MSW_CHECK(meta->slot_allocated(slot));
     const bool was_full = meta->used_slots == nslots;
     meta->clear_slot(slot);
     --meta->used_slots;
     if (was_full)
         nonfull_.push_front(meta);
-    if (meta->used_slots == 0) {
-        // Keep one empty slab cached; release further ones.
-        nonfull_.remove(meta);
-        if (cached_empty_ == nullptr) {
-            cached_empty_ = meta;
-        } else {
-            extents_->free_extent(meta);
-        }
+    if (meta->used_slots != 0)
+        return nullptr;
+    // Keep one empty slab cached; release further ones.
+    nonfull_.remove(meta);
+    if (cached_empty_ == nullptr) {
+        cached_empty_ = meta;
+        return nullptr;
+    }
+    return meta;
+}
+
+void
+Bin::free_one(void* ptr, ExtentMeta* meta)
+{
+    LockGuard g(lock_);
+    if (ExtentMeta* empty = free_locked(ptr, meta))
+        extents_->free_extent(empty);
+}
+
+void
+Bin::free_many(void* const* ptrs, ExtentMeta* const* metas,
+               std::uint64_t mask, ExtentMeta** released)
+{
+    LockGuard release_guard(lock_);
+    for (; mask != 0; mask &= mask - 1) {
+        const int i = std::countr_zero(mask);
+        released[i] = free_locked(ptrs[i], metas[i]);
     }
 }
 

@@ -57,6 +57,17 @@ class Bin
      */
     void free_one(void* ptr, ExtentMeta* meta);
 
+    /**
+     * Return object ptrs[i], whose slab is metas[i], for each set bit i
+     * of @p mask, in increasing i, under one acquisition of the bin
+     * lock. An emptied slab past the one-slab cache is not handed back
+     * here: released[i] is set to it (to null for the other set bits),
+     * for the caller to pass to ExtentAllocator::free_extent once the
+     * lock has dropped.
+     */
+    void free_many(void* const* ptrs, ExtentMeta* const* metas,
+                   std::uint64_t mask, ExtentMeta** released);
+
     unsigned cls() const { return cls_; }
 
     // atfork integration (called by JadeAllocator's fork hooks): fork
@@ -68,10 +79,14 @@ class Bin
 
   private:
     ExtentMeta* grab_slab_locked() MSW_REQUIRES(lock_);
+    /** free_one/free_many's body: the slab to return to the extent
+        allocator when this free empties it past the cache, else null. */
+    ExtentMeta* free_locked(void* ptr, ExtentMeta* meta) MSW_REQUIRES(lock_);
 
     ExtentAllocator* extents_ = nullptr;
     // Rank kBin: nests before the extent lock (grab_slab_locked and
-    // free_one call into the extent allocator under lock_).
+    // free_one call into the extent allocator under lock_; free_many
+    // leaves that call to its caller).
     SpinLock lock_{util::LockRank::kBin};
     ExtentList nonfull_ MSW_GUARDED_BY(lock_);
     ExtentMeta* cached_empty_ MSW_GUARDED_BY(lock_) = nullptr;

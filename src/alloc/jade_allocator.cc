@@ -2,7 +2,9 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <new>
 
@@ -383,7 +385,10 @@ JadeAllocator::free(void* ptr)
     free_calls_.fetch_add(1, std::memory_order_relaxed);
     ExtentMeta* meta = extents_.lookup_live(to_addr(ptr));
     if (meta->kind == ExtentKind::kLarge) {
-        free_large(meta);
+        // msw-relaxed(stat-cells): statistics counter; totals need no
+        // ordering.
+        live_bytes_.fetch_sub(meta->bytes(), std::memory_order_relaxed);
+        release_extent(meta);
         return;
     }
     MSW_DCHECK(meta->kind == ExtentKind::kSlab);
@@ -403,33 +408,75 @@ JadeAllocator::free(void* ptr)
     bin_for(meta->arena, cls).free_one(ptr, meta);
 }
 
-void
-JadeAllocator::free_direct(void* ptr)
+unsigned
+JadeAllocator::free_batch(void* const* ptrs, std::size_t n)
 {
-    if (ptr == nullptr)
-        return;
-    // msw-relaxed(stat-cells): statistics counter; totals need no
-    // ordering.
-    free_calls_.fetch_add(1, std::memory_order_relaxed);
-    ExtentMeta* meta = extents_.lookup_live(to_addr(ptr));
-    if (meta->kind == ExtentKind::kLarge) {
-        free_large(meta);
-        return;
+    if (n == 0)
+        return 0;
+    std::size_t bytes = 0;
+    unsigned bin_locks = 0;
+    for (std::size_t start = 0; start < n; start += kFreeBatch) {
+        const auto m = static_cast<unsigned>(
+            std::min<std::size_t>(kFreeBatch, n - start));
+        void* const* run = ptrs + start;
+        ExtentMeta* metas[kFreeBatch];
+        Bin* bins[kFreeBatch];
+        // The extent run[i]'s free hands back, if any: its own for a
+        // page-scale block, its slab's when the free empties it.
+        ExtentMeta* to_free[kFreeBatch];
+        std::uint64_t small = 0;  // Bit i: run[i] is a slot still to free.
+        for (unsigned i = 0; i < m; ++i) {
+            ExtentMeta* meta = extents_.lookup_live(to_addr(run[i]));
+            metas[i] = meta;
+            to_free[i] = nullptr;
+            if (meta->kind == ExtentKind::kLarge) {
+                bytes += meta->bytes();
+                to_free[i] = meta;
+                continue;
+            }
+            MSW_DCHECK(meta->kind == ExtentKind::kSlab);
+            bytes += class_size(meta->cls);
+            // Resolved once, here: comparing two slabs' arena and class
+            // fields lets the compiler load the word they share with
+            // used_slots, which the bin lock's holder may be writing.
+            bins[i] = &bin_for(meta->arena, meta->cls);
+            small |= std::uint64_t{1} << i;
+        }
+        // One bin at a time, stably: the first slot left picks the bin,
+        // and every slot of that bin is freed in run order.
+        while (small != 0) {
+            Bin* bin = bins[std::countr_zero(small)];
+            std::uint64_t group = 0;
+            for (std::uint64_t rest = small; rest != 0; rest &= rest - 1) {
+                const int i = std::countr_zero(rest);
+                if (bins[i] == bin)
+                    group |= std::uint64_t{1} << i;
+            }
+            small &= ~group;
+            bin->free_many(run, metas, group, to_free);
+            ++bin_locks;
+        }
+        // Extents last, in run order, with no bin lock held: the extent
+        // allocator sees the sequence per-pointer frees would give it.
+        for (unsigned i = 0; i < m; ++i) {
+            if (to_free[i] != nullptr)
+                release_extent(to_free[i]);
+        }
     }
-    // msw-relaxed(stat-cells): statistics counter; totals need no
-    // ordering.
-    live_bytes_.fetch_sub(class_size(meta->cls), std::memory_order_relaxed);
-    bin_for(meta->arena, meta->cls).free_one(ptr, meta);
+    // msw-relaxed(stat-cells): one add for the whole batch; totals
+    // need no ordering.
+    free_calls_.fetch_add(n, std::memory_order_relaxed);
+    // msw-relaxed(stat-cells): one subtract for the whole batch; the
+    // gauge is read as a statistic and needs no ordering.
+    live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+    return bin_locks;
 }
 
-// msw-analyze: slow-path(page-scale free: returns a whole
-// extent)
+// msw-analyze: slow-path(returns a whole extent: a page-scale block or
+// a slab its last free emptied)
 void
-JadeAllocator::free_large(ExtentMeta* meta)
+JadeAllocator::release_extent(ExtentMeta* meta)
 {
-    // msw-relaxed(stat-cells): statistics counter; totals need no
-    // ordering.
-    live_bytes_.fetch_sub(meta->bytes(), std::memory_order_relaxed);
     extents_.free_extent(meta);
 }
 

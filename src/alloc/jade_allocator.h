@@ -71,11 +71,27 @@ class JadeAllocator final : public Allocator
     void flush() override;
 
     /**
-     * Free bypassing the thread cache. The quarantine release path uses
-     * this so recycled objects return to the shared bins rather than being
-     * stranded in the sweeper thread's cache.
+     * Free @p n blocks bypassing the thread cache. The quarantine release
+     * path uses this so recycled objects return to the shared bins rather
+     * than being stranded in the sweeper thread's cache. Each run of up
+     * to kFreeBatch pointers takes each (arena, class) bin lock once,
+     * freeing that bin's blocks in the order given; extents (page-scale
+     * blocks, emptied slabs) go back in the order given too, so the
+     * resulting heap is the one per-pointer frees would leave. Returns
+     * the number of bin-lock acquisitions.
      */
-    void free_direct(void* ptr);
+    unsigned free_batch(void* const* ptrs, std::size_t n);
+
+    /** Blocks per bin-lock pass of free_batch (one release ticket). */
+    static constexpr unsigned kFreeBatch = 64;
+
+    /** free_batch() of one block. */
+    void
+    free_direct(void* ptr)
+    {
+        if (ptr != nullptr)
+            free_batch(&ptr, 1);
+    }
 
     /** True if @p addr lies inside the heap reservation. */
     bool
@@ -160,7 +176,7 @@ class JadeAllocator final : public Allocator
     TCache* make_tcache();
     void flush_shard(TCache* tc, unsigned cls, unsigned keep);
     void free_small(void* ptr, ExtentMeta* meta);
-    void free_large(ExtentMeta* meta);
+    void release_extent(ExtentMeta* meta);
     Bin& bin_for(std::uint8_t arena, unsigned cls) const;
     unsigned arena_for_thread();
     static void tcache_destructor(void* arg);

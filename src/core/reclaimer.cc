@@ -98,7 +98,7 @@ Reclaimer::drain_pending_locked()
         if (quarantine_bitmap_->test(e.real_base())) {
             if (!unmap_entry(e.real_base(), e.usable)) {
                 // Transient decommit failure: the entry simply keeps its
-                // pages while quarantined. release_entry()'s protect_rw
+                // pages while quarantined. prepare_release()'s protect_rw
                 // and access-map restore are idempotent, so the stale
                 // unmapped flag is harmless.
                 MSW_LOG_DEBUG("deferred unmap of %zu bytes skipped",
@@ -155,7 +155,7 @@ Reclaimer::child_after_fork() MSW_NO_THREAD_SAFETY_ANALYSIS
 }
 
 bool
-Reclaimer::release_entry(const Entry& entry)
+Reclaimer::prepare_release(const Entry& entry)
 {
     if (entry.unmapped) {
         // Restore access before handing the range back; physical pages
@@ -164,8 +164,10 @@ Reclaimer::release_entry(const Entry& entry)
             return false;
         access_map_->set_range(entry.real_base(), entry.usable);
     }
+    // Cleared before the substrate free, never after it (DESIGN.md §3):
+    // once the slot is free, a new owner's first free of it must not
+    // find the bit still set and be absorbed as a double free.
     quarantine_bitmap_->clear(entry.real_base());
-    jade_->free_direct(to_ptr(entry.real_base()));
     return true;
 }
 

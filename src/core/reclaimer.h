@@ -11,8 +11,9 @@
  *  - the deferred pending-unmap queue and its drain points (after the
  *    mark phase and at scan end);
  *  - entry release after a successful sweep: restore page access for
- *    unmapped entries (bounded protect_rw retry), clear the quarantine
- *    bit, hand the block back to the substrate.
+ *    unmapped entries (bounded protect_rw retry) and clear the
+ *    quarantine bit; the sweep then hands a ticket of such blocks back
+ *    to the substrate in one JadeAllocator::free_batch call.
  *
  * Every failure path degrades instead of aborting: a refused decommit
  * downgrades the entry to mapped-and-zeroed (a bounded leak with correct
@@ -88,11 +89,13 @@ class Reclaimer
     }
 
     /**
-     * Release a proven-safe entry back to the substrate. False if page
-     * access could not be restored under pressure: the caller keeps the
-     * entry quarantined and a later sweep retries.
+     * Ready a proven-safe entry for release: restore page access to an
+     * unmapped entry and clear its quarantine bit. The caller then hands
+     * the block to JadeAllocator::free_batch. False if page access could
+     * not be restored under pressure: the caller keeps the entry
+     * quarantined and a later sweep retries.
      */
-    [[nodiscard]] bool release_entry(const quarantine::Entry& entry);
+    [[nodiscard]] bool prepare_release(const quarantine::Entry& entry);
 
     /** Decommit + unmap-account one entry's pages. */
     [[nodiscard]] bool unmap_entry(std::uintptr_t base, std::size_t usable);

@@ -38,6 +38,7 @@ struct ReleaseTally {
     std::uint64_t failed = 0;
     std::uint64_t fill_checks = 0;
     std::uint64_t fill_violations = 0;
+    std::uint64_t bin_locks = 0;  ///< Bin-lock acquisitions by free_batch.
     std::vector<Entry> failed_entries;
 
     void
@@ -48,6 +49,7 @@ struct ReleaseTally {
         failed += o.failed;
         fill_checks += o.fill_checks;
         fill_violations += o.fill_violations;
+        bin_locks += o.bin_locks;
         failed_entries.insert(failed_entries.end(),
                               o.failed_entries.begin(),
                               o.failed_entries.end());
@@ -537,7 +539,7 @@ QuarantineRuntime::run_sweep()
         // *calling* thread, which for emergency and watchdog-fallback
         // sweeps is a mutator whose own watchdog checks must survive.
         SweepController::ScopedSweepContext scoped;
-        constexpr std::size_t kBatch = 64;
+        constexpr std::size_t kBatch = alloc::JadeAllocator::kFreeBatch;
         ReleaseTally t;
         for (;;) {
             // msw-relaxed(work-cursor): batch ticket; only RMW
@@ -548,6 +550,8 @@ QuarantineRuntime::run_sweep()
                 break;
             const std::size_t end =
                 std::min(start + kBatch, locked_in.size());
+            void* frees[kBatch];
+            std::size_t nfree = 0;
             for (std::size_t i = start; i < end; ++i) {
                 const Entry& e = locked_in[i];
                 if (mark_bits_.test_range(e.real_base(), e.usable)) {
@@ -568,16 +572,20 @@ QuarantineRuntime::run_sweep()
                             bad);
                     }
                 }
-                if (!reclaimer_.release_entry(e)) {
+                if (!reclaimer_.prepare_release(e)) {
                     // Could not restore access under pressure: keep the
                     // entry quarantined; a later sweep retries.
                     ++t.failed;
                     t.failed_entries.push_back(e);
                     continue;
                 }
+                frees[nfree++] = to_ptr(e.real_base());
                 ++t.released;
                 t.released_bytes += e.usable;
             }
+            // The ticket's releasable blocks go back in one call: each
+            // bin lock once, the allocator's counters once.
+            t.bin_locks += jade_.free_batch(frees, nfree);
         }
         // One store per worker, after its loop: no shared line is
         // written per entry, and the join below publishes it.
@@ -600,6 +608,7 @@ QuarantineRuntime::run_sweep()
     stats_.add(Stat::kFailedFrees, total.failed);
     stats_.add(Stat::kSweepFillChecks, total.fill_checks);
     stats_.add(Stat::kCanaryViolations, total.fill_violations);
+    stats_.add(Stat::kReleaseBinLocks, total.bin_locks);
     mark_bits_.clear_marks();
     quarantine_.store_failed(std::move(total.failed_entries));
 
@@ -633,6 +642,7 @@ QuarantineRuntime::sweep_stats() const
     s.stw_ns = at(Stat::kStwNs);
     s.pause_ns = at(Stat::kPauseNs);
     s.unmapped_entries = at(Stat::kUnmappedEntries);
+    s.release_bin_locks = at(Stat::kReleaseBinLocks);
     s.phase_dirty_scan_ns = at(Stat::kPhaseDirtyScanNs);
     s.phase_mark_ns = at(Stat::kPhaseMarkNs);
     s.phase_drain_ns = at(Stat::kPhaseDrainNs);

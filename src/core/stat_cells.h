@@ -54,6 +54,7 @@ enum class Stat : unsigned {
     kStwNs,
     kPauseNs,
     kUnmappedEntries,
+    kReleaseBinLocks,
 
     // Sweep-phase breakdown (telemetry layer; MineSweeper, MarkUs).
     kPhaseDirtyScanNs,
@@ -223,6 +224,7 @@ struct SweepStats {
     std::uint64_t stw_ns = 0;            ///< Total stop-the-world time.
     std::uint64_t pause_ns = 0;          ///< Allocation-pausing wait time.
     std::uint64_t unmapped_entries = 0;  ///< Large allocations unmapped.
+    std::uint64_t release_bin_locks = 0; ///< Bin locks taken by release.
 
     // Sweep-phase breakdown: wall-clock time of disjoint intervals
     // inside each sweep, so their sum never exceeds sweep_wall_ns;

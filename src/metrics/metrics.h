@@ -65,6 +65,7 @@ struct RunScalars {
     std::uint64_t phase_drain_ns = 0;
     std::uint64_t phase_release_ns = 0;
     std::uint64_t sweep_wall_ns = 0;  ///< Whole sweeps; bounds the phases.
+    std::uint64_t release_bin_locks = 0;  ///< Bin locks taken by release.
 
     bool ok = false;  ///< Child completed successfully.
 };

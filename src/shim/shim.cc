@@ -149,6 +149,7 @@ shim_counters(msw::metrics::TelemetryCounter* out, std::size_t cap)
     put("phase_mark_ns", s.phase_mark_ns);
     put("phase_drain_ns", s.phase_drain_ns);
     put("phase_release_ns", s.phase_release_ns);
+    put("release_bin_locks", s.release_bin_locks);
     put("sweep_wall_ns", s.sweep_wall_ns);
     put("emergency_sweeps", s.emergency_sweeps);
     put("watchdog_fallbacks", s.watchdog_fallbacks);

@@ -22,7 +22,13 @@ std::atomic<std::uint32_t> g_failpoints_armed{0};
 namespace {
 
 struct FailpointState {
-    FailpointPolicy policy;
+    // The policy, one atomic per field: written under g_policy_mu,
+    // read without it by failpoint_eval_slow.
+    std::atomic<FailpointPolicy::Kind> policy_kind{
+        FailpointPolicy::Kind::kOff};
+    std::atomic<double> policy_probability{0.0};
+    std::atomic<std::uint64_t> policy_n{0};
+    std::atomic<std::uint64_t> policy_skip{0};
     /** Evaluation ordinal under the *current* policy (reset on arm). */
     std::atomic<std::uint64_t> policy_evals{0};
     /** Lifetime totals, kept across re-arms. */
@@ -35,11 +41,44 @@ FailpointState g_state[kNumFailpoints];
 /**
  * Guards policy writes. Evaluations read the policy fields without it:
  * arming while other threads are mid-evaluation may make those threads
- * see a torn mix of old/new policy for one call, which only perturbs
+ * see a mix of old/new policy fields for one call, which only perturbs
  * *whether* that call fails — acceptable for fault injection, and soak
  * configs arm once at startup anyway.
  */
 Mutex g_policy_mu{LockRank::kMetrics};
+
+void
+store_policy_locked(FailpointState& st, const FailpointPolicy& policy)
+    MSW_REQUIRES(g_policy_mu)
+{
+    // msw-relaxed(failpoint-arm): field stores under g_policy_mu;
+    // evaluators read each field on its own, by design.
+    st.policy_kind.store(policy.kind, std::memory_order_relaxed);
+    // msw-relaxed(failpoint-arm): as above.
+    st.policy_probability.store(policy.probability,
+                                std::memory_order_relaxed);
+    // msw-relaxed(failpoint-arm): as above.
+    st.policy_n.store(policy.n, std::memory_order_relaxed);
+    // msw-relaxed(failpoint-arm): as above.
+    st.policy_skip.store(policy.skip, std::memory_order_relaxed);
+}
+
+/** Snapshot of @p st's policy; a racing arm may mix old and new fields. */
+FailpointPolicy
+load_policy(const FailpointState& st)
+{
+    FailpointPolicy p;
+    // msw-relaxed(failpoint-arm): racy snapshot by design (see
+    // g_policy_mu); each field read is atomic, the set is not.
+    p.kind = st.policy_kind.load(std::memory_order_relaxed);
+    // msw-relaxed(failpoint-arm): as above.
+    p.probability = st.policy_probability.load(std::memory_order_relaxed);
+    // msw-relaxed(failpoint-arm): as above.
+    p.n = st.policy_n.load(std::memory_order_relaxed);
+    // msw-relaxed(failpoint-arm): as above.
+    p.skip = st.policy_skip.load(std::memory_order_relaxed);
+    return p;
+}
 
 std::atomic<std::uint64_t> g_rng_seed{0x5eedfa11};
 
@@ -67,7 +106,10 @@ recount_armed_locked() MSW_REQUIRES(g_policy_mu)
 {
     std::uint32_t armed = 0;
     for (auto& st : g_state) {
-        if (st.policy.kind != FailpointPolicy::Kind::kOff) {
+        // msw-relaxed(failpoint-arm): read under g_policy_mu, which
+        // every policy store holds.
+        if (st.policy_kind.load(std::memory_order_relaxed) !=
+            FailpointPolicy::Kind::kOff) {
             ++armed;
         }
     }
@@ -213,7 +255,7 @@ failpoint_eval_slow(Failpoint fp)
 {
     FailpointState& st = g_state[static_cast<unsigned>(fp)];
     // Snapshot: arm/disarm may race this read (see g_policy_mu comment).
-    const FailpointPolicy policy = st.policy;
+    const FailpointPolicy policy = load_policy(st);
     if (policy.kind == FailpointPolicy::Kind::kOff) {
         return false;
     }
@@ -257,7 +299,7 @@ failpoint_arm(Failpoint fp, const FailpointPolicy& policy)
 {
     MutexGuard lock(detail::g_policy_mu);
     auto& st = detail::g_state[static_cast<unsigned>(fp)];
-    st.policy = policy;
+    detail::store_policy_locked(st, policy);
     // msw-relaxed(failpoint-arm): counter reset under g_policy_mu;
     // racing evaluators snapshot the policy racily by design.
     st.policy_evals.store(0, std::memory_order_relaxed);
@@ -268,7 +310,8 @@ void
 failpoint_disarm(Failpoint fp)
 {
     MutexGuard lock(detail::g_policy_mu);
-    detail::g_state[static_cast<unsigned>(fp)].policy = FailpointPolicy{};
+    detail::store_policy_locked(detail::g_state[static_cast<unsigned>(fp)],
+                                FailpointPolicy{});
     detail::recount_armed_locked();
 }
 
@@ -277,7 +320,7 @@ failpoint_disarm_all()
 {
     MutexGuard lock(detail::g_policy_mu);
     for (auto& st : detail::g_state) {
-        st.policy = FailpointPolicy{};
+        detail::store_policy_locked(st, FailpointPolicy{});
     }
     detail::recount_armed_locked();
 }

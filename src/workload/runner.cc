@@ -55,6 +55,7 @@ measure(SystemKind kind,
             rec.phase_drain_ns = st.phase_drain_ns;
             rec.phase_release_ns = st.phase_release_ns;
             rec.sweep_wall_ns = st.sweep_wall_ns;
+            rec.release_bin_locks = st.release_bin_locks;
             rec.ok = true;
             return rec;
         },

@@ -3,13 +3,17 @@
 // multi-threaded stress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
+#include <set>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "alloc/jade_allocator.h"
+#include "alloc/policy.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace msw::alloc {
@@ -373,6 +377,96 @@ TEST(JadeNoTcache, WorksWithThreadCacheDisabled)
     for (void* p : ptrs)
         jade.free(p);
     EXPECT_EQ(jade.live_bytes(), 0u);
+}
+
+/**
+ * free_batch against the per-pointer path: two allocators run one seeded
+ * trace, then free the same shuffled set, one in kFreeBatch-pointer
+ * free_batch calls, the other one pointer at a time through free() (no
+ * thread cache, so every small block takes Bin::free_one). The set
+ * empties whole slabs (the first into each bin's cache, the rest back
+ * to the extent allocator), turns full slabs nonfull and holds
+ * page-scale blocks. Both heaps must come out identical: the same
+ * stats, and the same next allocations as offsets into each heap.
+ */
+TEST(JadeFreeBatch, MatchesPerPointerFrees)
+{
+    JadeAllocator::Options o;
+    o.heap_bytes = std::size_t{1} << 30;
+    o.decay_ms = 0;
+    o.enable_tcache = false;
+    o.policy = &default_policy();
+    JadeAllocator batched(o);
+    JadeAllocator single(o);
+    const auto offset = [](const JadeAllocator& j, void* p) {
+        return to_addr(p) - j.reservation().base();
+    };
+    // Same size stream for both heaps; checks they stay in step.
+    const auto alloc_both = [&](Rng& rng, std::vector<void*>* out) {
+        const std::size_t size =
+            rng.next_bool(0.03) ? (16u << 10) + rng.next_below(240u << 10)
+                                : 1 + rng.next_below(4096);
+        void* a = batched.alloc(size);
+        void* b = single.alloc(size);
+        ASSERT_NE(a, nullptr);
+        ASSERT_NE(b, nullptr);
+        ASSERT_EQ(offset(batched, a), offset(single, b));
+        out->push_back(a);
+    };
+
+    Rng rng(7);
+    std::vector<void*> live;
+    for (int i = 0; i < 6000; ++i)
+        alloc_both(rng, &live);
+    // Blocks of up to 256 bytes go entirely, so their slabs empty;
+    // the rest go with probability 0.6.
+    std::vector<void*> doomed;
+    for (void* p : live) {
+        if (batched.usable_size(p) <= 256 || rng.next_bool(0.6))
+            doomed.push_back(p);
+    }
+    for (std::size_t i = doomed.size(); i > 1; --i)
+        std::swap(doomed[i - 1], doomed[rng.next_below(i)]);
+
+    std::size_t slabs_emptied_to_extents = 0;
+    for (std::size_t start = 0; start < doomed.size();
+         start += JadeAllocator::kFreeBatch) {
+        const std::size_t n = std::min<std::size_t>(
+            JadeAllocator::kFreeBatch, doomed.size() - start);
+        std::set<unsigned> bins;
+        for (std::size_t i = start; i < start + n; ++i) {
+            const ExtentMeta* e = batched.extents().lookup(to_addr(doomed[i]));
+            if (e->kind == ExtentKind::kSlab)
+                bins.insert(e->cls);
+        }
+        const std::size_t active0 = single.extents().stats().active_bytes;
+        EXPECT_EQ(batched.free_batch(&doomed[start], n), bins.size());
+        std::size_t large_bytes = 0;
+        for (std::size_t i = start; i < start + n; ++i) {
+            void* q = to_ptr(offset(batched, doomed[i]) +
+                             single.reservation().base());
+            if (single.usable_size(q) > kMaxSmallSize)
+                large_bytes += single.usable_size(q);
+            single.free(q);
+        }
+        slabs_emptied_to_extents +=
+            active0 - single.extents().stats().active_bytes > large_bytes;
+    }
+    EXPECT_GT(slabs_emptied_to_extents, 0u);
+
+    const AllocatorStats a = batched.stats();
+    const AllocatorStats b = single.stats();
+    EXPECT_EQ(a.live_bytes, b.live_bytes);
+    EXPECT_EQ(a.committed_bytes, b.committed_bytes);
+    EXPECT_EQ(a.metadata_bytes, b.metadata_bytes);
+    EXPECT_EQ(a.alloc_calls, b.alloc_calls);
+    EXPECT_EQ(a.free_calls, b.free_calls);
+    EXPECT_EQ(batched.extents().stats().active_bytes,
+              single.extents().stats().active_bytes);
+
+    std::vector<void*> after;
+    for (int i = 0; i < 4000; ++i)
+        alloc_both(rng, &after);
 }
 
 TEST(JadeLifecycle, ThreadExitFlushesItsCache)

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -257,6 +258,75 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RuntimeCase>& info) {
         return std::string(info.param.name);
     });
+
+/** Blocks the release walk audited, in walk order. */
+std::vector<std::uintptr_t> g_audited;
+
+const void*
+recording_check_free_fill(const void* p, std::size_t usable)
+{
+    g_audited.push_back(to_addr(p));
+    return alloc::hardened_policy().check_free_fill(p, usable);
+}
+
+/**
+ * Release frees each bin's blocks in the policy's shuffled locked-in
+ * order: free_batch groups a ticket by bin stably. The fill audit
+ * records that order (one release worker walks the tickets in turn).
+ * Each released block is the only free slot of an otherwise full slab
+ * and there is no thread cache, so a bin hands those slabs back out
+ * most recently freed first: the reverse of its free order.
+ */
+TEST(HardenedRuntime, ReleaseKeepsShuffledOrderWithinEachBin)
+{
+    alloc::AllocPolicy policy = alloc::hardened_policy();
+    policy.check_free_fill = &recording_check_free_fill;
+    Options o = hardened_options();
+    o.jade.policy = &policy;
+    o.jade.enable_tcache = false;
+    o.min_sweep_bytes = std::size_t{64} << 20;  // Sweep when forced only.
+    MineSweeper ms(o);
+    const alloc::ExtentAllocator& extents = ms.substrate().extents();
+
+    constexpr std::size_t kSizes[] = {40, 100};
+    constexpr unsigned kSlabs = 30;
+    std::map<std::size_t, unsigned> cls_of;
+    for (std::size_t size : kSizes) {
+        void* first = ms.alloc(size);
+        ASSERT_NE(first, nullptr);
+        cls_of[size] = extents.lookup(to_addr(first))->cls;
+        const unsigned nslots = alloc::slab_slots(cls_of[size]);
+        std::map<std::uintptr_t, std::vector<void*>> by_slab;
+        by_slab[extents.lookup(to_addr(first))->base].push_back(first);
+        for (unsigned i = 0; i < kSlabs * nslots; ++i) {
+            void* p = ms.alloc(size);
+            ASSERT_NE(p, nullptr);
+            by_slab[extents.lookup(to_addr(p))->base].push_back(p);
+        }
+        for (const auto& [base, blocks] : by_slab) {
+            if (blocks.size() == nslots)
+                ms.free(blocks.front());
+        }
+    }
+    g_audited.clear();
+    ms.force_sweep();
+    EXPECT_GE(ms.sweep_stats().release_shuffles, 1u);
+
+    for (std::size_t size : kSizes) {
+        std::vector<std::uintptr_t> freed_in_bin;
+        for (std::uintptr_t a : g_audited) {
+            if (extents.lookup(a)->cls == cls_of[size])
+                freed_in_bin.push_back(a);
+        }
+        ASSERT_GE(freed_in_bin.size(), kSlabs / 2) << "size " << size;
+        std::vector<std::uintptr_t> reused;
+        for (std::size_t i = 0; i < freed_in_bin.size(); ++i)
+            reused.push_back(to_addr(ms.alloc(size)));
+        EXPECT_EQ(reused, std::vector<std::uintptr_t>(freed_in_bin.rbegin(),
+                                                      freed_in_bin.rend()))
+            << "size " << size;
+    }
+}
 
 using HardenedDeathTest = ::testing::Test;
 

@@ -296,7 +296,10 @@ TEST_F(ResilienceTest, DestructorRacesInFlightForceSweep)
         util::failpoint_reset_counters();
         util::failpoint_arm(Failpoint::kSweepDelay,
                             FailpointPolicy::burst(50));
-        std::thread t([&] { ms->force_sweep(); });
+        // The waiter holds the raw pointer: reset() below rewrites the
+        // unique_ptr itself, which the thread must not read.
+        MineSweeper* raw = ms.get();
+        std::thread t([raw] { raw->force_sweep(); });
         ASSERT_TRUE(wait_until(
             [] {
                 return util::failpoint_evaluations(Failpoint::kSweepDelay) >

@@ -3,7 +3,8 @@
 // still quarantined (pending, failed or unmapped), and every free is
 // either a released entry or a still-quarantined one. The same trace
 // checks the phase accounting: phase times fit inside the sweeps' wall
-// time, and stop-the-world windows are counted and timed exactly once.
+// time, stop-the-world windows are counted and timed exactly once, and
+// release takes at most one bin lock per released entry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -125,6 +126,18 @@ TEST_P(LedgerTest, FreedBytesAndEntriesBalance)
         quarantined += rt->in_quarantine(to_ptr(base)) ? 1 : 0;
     EXPECT_GT(quarantined, 0u);
     EXPECT_EQ(st.entries_released + quarantined, freed.frees);
+}
+
+// Release hands each ticket to JadeAllocator::free_batch, which takes a
+// bin lock once per bin the ticket touches: never more than one per
+// released entry (page-scale entries take none).
+TEST_P(LedgerTest, ReleaseTakesAtMostOneBinLockPerEntry)
+{
+    const std::unique_ptr<QuarantineRuntime> rt = GetParam().make();
+    run_trace(*rt);
+    const SweepStats st = rt->sweep_stats();
+    EXPECT_GT(st.release_bin_locks, 0u);
+    EXPECT_LE(st.release_bin_locks, st.entries_released);
 }
 
 TEST_P(LedgerTest, PhaseTimesFitTheSweepWallTime)

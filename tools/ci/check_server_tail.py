@@ -22,7 +22,8 @@ LATENCY_KEYS = ("count", "mean_ns", "p50_ns", "p90_ns", "p99_ns",
 DIGEST_KEYS = ("op_latency_ns", "alloc_pause_ns", "stw_pause_ns")
 PHASE_KEYS = ("phase_dirty_scan_ns", "phase_mark_ns", "phase_drain_ns",
               "phase_release_ns")
-TOTAL_KEYS = ("pause_total_ns", "stw_total_ns", "sweep_wall_ns") + PHASE_KEYS
+TOTAL_KEYS = ("pause_total_ns", "stw_total_ns", "sweep_wall_ns",
+              "release_bin_locks") + PHASE_KEYS
 
 
 def consistency_errors(name, sys_doc):
