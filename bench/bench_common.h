@@ -36,7 +36,7 @@ using workload::SystemKind;
  * is renamed or removed (additions do not bump it). Plot/CI tooling
  * checks this instead of sniffing key presence.
  */
-inline constexpr int kBenchSchemaVersion = 2;
+inline constexpr int kBenchSchemaVersion = 3;
 
 /** Build provenance: `git describe` captured at configure time. */
 inline const char*

@@ -5,8 +5,8 @@
  * Runs the long-running request/response workload (workload/server.h)
  * against all four runtimes and reports the *distribution* of
  * per-operation latency — p50/p90/p99/p999/max — alongside the sweep
- * pause breakdown (allocation-pause and STW digests, per-phase totals
- * and the whole-sweep wall total that bounds them).
+ * pause breakdown (allocation-pause and STW digests) and every runtime
+ * counter, named as the counter table (metrics/counters.h) names it.
  * Batch benchmarks answer "how much slower"; this one answers "where do
  * the pauses land", which is the question a latency-sensitive service
  * asks of a drop-in UAF mitigation.
@@ -20,6 +20,7 @@
 #include <cstdlib>
 
 #include "bench/bench_common.h"
+#include "metrics/telemetry.h"
 #include "workload/server.h"
 
 namespace {
@@ -105,7 +106,7 @@ main()
                        cell(r.alloc_pause.count),
                        cell(r.stw_pause.count),
                        metrics::fmt_seconds(
-                           static_cast<double>(r.stw_total_ns) * 1e-6)});
+                           static_cast<double>(r.stw_ns) * 1e-6)});
     }
     std::printf("\nserver tail latency (%s mode)\n",
                 so.duration_s > 0 ? "duration" : "op-count");
@@ -129,30 +130,16 @@ main()
         std::fprintf(json, "    \"%s\": {\n", systems[i].label.c_str());
         std::fprintf(json, "      \"ok\": %s,\n", r.ok ? "true" : "false");
         std::fprintf(json, "      \"wall_s\": %.3f,\n", r.wall_s);
-        std::fprintf(json, "      \"sweeps\": %llu,\n",
-                     static_cast<unsigned long long>(r.sweeps));
         json_latency(json, "op_latency_ns", r.op_latency, ",");
         json_latency(json, "alloc_pause_ns", r.alloc_pause, ",");
         json_latency(json, "stw_pause_ns", r.stw_pause, ",");
-        std::fprintf(json, "      \"pause_total_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.pause_total_ns));
-        std::fprintf(json, "      \"stw_total_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.stw_total_ns));
-        std::fprintf(
-            json, "      \"phase_dirty_scan_ns\": %llu,\n",
-            static_cast<unsigned long long>(r.phase_dirty_scan_ns));
-        std::fprintf(json, "      \"phase_mark_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.phase_mark_ns));
-        std::fprintf(json, "      \"phase_drain_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.phase_drain_ns));
-        std::fprintf(
-            json, "      \"phase_release_ns\": %llu,\n",
-            static_cast<unsigned long long>(r.phase_release_ns));
-        std::fprintf(json, "      \"sweep_wall_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.sweep_wall_ns));
-        std::fprintf(
-            json, "      \"release_bin_locks\": %llu\n",
-            static_cast<unsigned long long>(r.release_bin_locks));
+        metrics::TelemetryCounter counters[metrics::kMaxCounters];
+        const std::size_t n = metrics::export_counters(r, counters);
+        for (std::size_t c = 0; c < n; ++c) {
+            std::fprintf(json, "      \"%s\": %llu%s\n", counters[c].name,
+                         static_cast<unsigned long long>(counters[c].value),
+                         c + 1 == n ? "" : ",");
+        }
         std::fprintf(json, "    }%s\n",
                      i + 1 == systems.size() ? "" : ",");
     }

@@ -293,17 +293,25 @@ JadeAllocator::flush_shard(TCache* tc, unsigned cls, unsigned keep)
     TCache::Shard& shard = tc->shards[cls];
     // Evict the oldest entries (bottom of the stack), keeping the most
     // recently freed ones hot.
-    unsigned evict = shard.count > keep ? shard.count - keep : 0;
+    const unsigned count = shard.count;
+    const unsigned evict = count > keep ? count - keep : 0;
+    if (evict == 0)
+        return;
+    // Unlist the evicted objects before taking a bin lock, which a fork
+    // can land on; child_fixup() would free them again. The shard reads
+    // empty while the kept ones move (fenced against compiler reorder).
+    void* evicted[TCache::kMaxCap];
+    std::memcpy(evicted, shard.objs, evict * sizeof(void*));
+    shard.count = 0;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    std::memmove(&shard.objs[0], &shard.objs[evict],
+                 (count - evict) * sizeof(void*));
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    shard.count = static_cast<std::uint16_t>(count - evict);
     for (unsigned i = 0; i < evict; ++i) {
-        void* ptr = shard.objs[i];
-        ExtentMeta* meta = extents_.lookup_live(to_addr(ptr));
-        bin_for(meta->arena, cls).free_one(ptr, meta);
+        ExtentMeta* meta = extents_.lookup_live(to_addr(evicted[i]));
+        bin_for(meta->arena, cls).free_one(evicted[i], meta);
     }
-    if (evict > 0 && shard.count > evict) {
-        std::memmove(&shard.objs[0], &shard.objs[evict],
-                     (shard.count - evict) * sizeof(void*));
-    }
-    shard.count = static_cast<std::uint16_t>(shard.count - evict);
 }
 
 void*
@@ -402,7 +410,10 @@ JadeAllocator::free(void* ptr)
         const unsigned cap = shard_cap(cls);
         if (shard.count == cap)
             flush_shard(tc, cls, cap / 2);
-        shard.objs[shard.count++] = ptr;
+        // Slot before count: a fork child may flush this shard mid-push.
+        shard.objs[shard.count] = ptr;
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+        ++shard.count;
         return;
     }
     bin_for(meta->arena, cls).free_one(ptr, meta);

@@ -48,7 +48,7 @@ MarkUs::~MarkUs()
     controller_.shutdown();
 }
 
-void
+std::uint64_t
 MarkUs::scan_for_objects(std::uintptr_t base, std::size_t len,
                          std::vector<Range>* worklist)
 {
@@ -68,6 +68,7 @@ MarkUs::scan_for_objects(std::uintptr_t base, std::size_t len,
     const std::uintptr_t heap_end = jade_.reservation().end();
     const bool in_heap = base >= heap_base && base < heap_end;
     std::uintptr_t page_checked_until = 0;
+    std::uint64_t found = 0;
     for (; lo < hi; lo += sizeof(std::uint64_t)) {
         if (in_heap && lo >= page_checked_until) {
             if (!access_map_.test(lo)) {
@@ -89,12 +90,14 @@ MarkUs::scan_for_objects(std::uintptr_t base, std::size_t len,
         alloc::JadeAllocator::AllocationInfo info;
         if (!jade_.lookup_relaxed(v, &info))
             continue;
+        ++found;
         if (mark_bits_.test_and_set(info.base))
             continue;  // already marked
         // Unmapped quarantined objects have no contents to traverse.
         if (access_map_.test(info.base))
             worklist->push_back(Range{info.base, info.usable});
     }
+    return found;
 }
 
 std::vector<Range>
@@ -108,20 +111,20 @@ MarkUs::scan_set() const
     return ranges;
 }
 
-std::uint64_t
+sweep::MarkStats
 MarkUs::mark(const std::vector<Range>& ranges)
 {
     // The input ranges seed the mark stack; every object reached is
     // pushed in turn until the closure is complete.
     std::vector<Range> worklist(ranges);
-    std::uint64_t scanned = 0;
+    sweep::MarkStats stats;
     while (!worklist.empty()) {
         const Range r = worklist.back();
         worklist.pop_back();
-        scanned += r.len;
-        scan_for_objects(r.base, r.len, &worklist);
+        stats.bytes_scanned += r.len;
+        stats.pointers_found += scan_for_objects(r.base, r.len, &worklist);
     }
-    return scanned;
+    return stats;
 }
 
 }  // namespace msw::baseline

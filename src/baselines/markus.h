@@ -65,15 +65,16 @@ class MarkUs final : public core::QuarantineRuntime
     /** Resident roots and stacks: the transitive mark's starting set. */
     std::vector<sweep::Range> scan_set() const override;
     /** Transitive closure from @p ranges (Boehm-style mark stack). */
-    std::uint64_t mark(const std::vector<sweep::Range>& ranges) override;
+    sweep::MarkStats mark(const std::vector<sweep::Range>& ranges) override;
     /**
      * Scan [base, base+len) for pointers; push newly marked objects.
+     * Returns the words that resolved to an allocation.
      * Conservative scan over racy memory: sanitizer instrumentation off
      * (see Marker::scan_chunk).
      */
     MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD
-    void scan_for_objects(std::uintptr_t base, std::size_t len,
-                          std::vector<sweep::Range>* worklist);
+    std::uint64_t scan_for_objects(std::uintptr_t base, std::size_t len,
+                                   std::vector<sweep::Range>* worklist);
 };
 
 }  // namespace msw::baseline

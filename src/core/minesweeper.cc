@@ -66,10 +66,10 @@ MineSweeper::scan_set() const
     return ranges;
 }
 
-std::uint64_t
+sweep::MarkStats
 MineSweeper::mark(const std::vector<Range>& ranges)
 {
-    return marker_.mark_ranges(ranges, workers_.get()).bytes_scanned;
+    return marker_.mark_ranges(ranges, workers_.get());
 }
 
 // msw-analyze: slow-path(configuration API: called once at engine

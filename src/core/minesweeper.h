@@ -99,7 +99,7 @@ class MineSweeper final : public QuarantineRuntime
   private:
     /** Committed heap runs, roots, stacks and extra-provider ranges. */
     std::vector<sweep::Range> scan_set() const override;
-    std::uint64_t mark(const std::vector<sweep::Range>& ranges) override;
+    sweep::MarkStats mark(const std::vector<sweep::Range>& ranges) override;
 
     sweep::Marker marker_;
 

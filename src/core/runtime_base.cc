@@ -487,7 +487,7 @@ QuarantineRuntime::run_sweep()
         // kStwNs isolates the stop itself).
         PhaseScope marking(stats_, Stat::kPhaseMarkNs,
                            TraceEvent::kPhaseMark);
-        std::uint64_t scanned = mark(scan_set());
+        sweep::MarkStats marked = mark(scan_set());
 
         if (tracker_ != nullptr) {
             // Phase 2 (mostly-concurrent only): brief stop-the-world
@@ -505,11 +505,12 @@ QuarantineRuntime::run_sweep()
                 sweep::append_resident_subranges(r, &rescan);
             for (const Range& r : roots_.parked_registers())
                 rescan.push_back(r);
-            scanned += mark(rescan);
+            marked.add(mark(rescan));
             roots_.resume_world();
         }
-        stats_.add(Stat::kBytesScanned, scanned);
-        marking.set_arg(scanned);
+        stats_.add(Stat::kBytesScanned, marked.bytes_scanned);
+        stats_.add(Stat::kPointersFound, marked.pointers_found);
+        marking.set_arg(marked.bytes_scanned);
     }
 
     {
@@ -628,34 +629,8 @@ QuarantineRuntime::run_sweep()
 SweepStats
 QuarantineRuntime::sweep_stats() const
 {
-    std::uint64_t v[kStatCount];
-    stats_.read_all(v);
-    const auto at = [&v](Stat s) { return v[static_cast<unsigned>(s)]; };
-    SweepStats s;
+    SweepStats s = stats_.read_all();
     s.sweeps = controller_.sweeps_done();
-    s.entries_released = at(Stat::kEntriesReleased);
-    s.bytes_released = at(Stat::kBytesReleased);
-    s.failed_frees = at(Stat::kFailedFrees);
-    s.double_frees = at(Stat::kDoubleFrees);
-    s.bytes_scanned = at(Stat::kBytesScanned);
-    s.sweep_cpu_ns = at(Stat::kSweepCpuNs);
-    s.stw_ns = at(Stat::kStwNs);
-    s.pause_ns = at(Stat::kPauseNs);
-    s.unmapped_entries = at(Stat::kUnmappedEntries);
-    s.release_bin_locks = at(Stat::kReleaseBinLocks);
-    s.phase_dirty_scan_ns = at(Stat::kPhaseDirtyScanNs);
-    s.phase_mark_ns = at(Stat::kPhaseMarkNs);
-    s.phase_drain_ns = at(Stat::kPhaseDrainNs);
-    s.phase_release_ns = at(Stat::kPhaseReleaseNs);
-    s.sweep_wall_ns = at(Stat::kSweepWallNs);
-    s.emergency_sweeps = at(Stat::kEmergencySweeps);
-    s.commit_retries = at(Stat::kCommitRetries);
-    s.watchdog_fallbacks = at(Stat::kWatchdogFallbacks);
-    s.oom_returns = at(Stat::kOomReturns);
-    s.canary_checks = at(Stat::kCanaryChecks);
-    s.canary_violations = at(Stat::kCanaryViolations);
-    s.sweep_fill_checks = at(Stat::kSweepFillChecks);
-    s.release_shuffles = at(Stat::kReleaseShuffles);
     for (unsigned i = 0; i < util::kNumFailpoints; ++i)
         s.failpoint_hits[i] =
             util::failpoint_hits(static_cast<util::Failpoint>(i));

@@ -159,9 +159,10 @@ class QuarantineRuntime : public RuntimeBase
     /**
      * Mark every quarantined allocation referenced from @p ranges in
      * mark_bits_; called once concurrently and once with the world
-     * stopped (mostly-concurrent). Returns the bytes scanned.
+     * stopped (mostly-concurrent). Returns the bytes scanned and the
+     * pointers found.
      */
-    virtual std::uint64_t mark(const std::vector<sweep::Range>& ranges) = 0;
+    virtual sweep::MarkStats mark(const std::vector<sweep::Range>& ranges) = 0;
 
     /**
      * The configuration in effect: the caller's record with the

@@ -23,16 +23,17 @@ StatCells::read(Stat stat) const
     return sum;
 }
 
-void
-StatCells::read_all(std::uint64_t (&out)[kStatCount]) const
+SweepStats
+StatCells::read_all() const
 {
-    for (unsigned i = 0; i < kStatCount; ++i)
-        out[i] = 0;
+    SweepStats out;
     for (const Shard& s : shards_) {
         for (unsigned i = 0; i < kStatCount; ++i)
             // msw-relaxed(stat-cells): as in read() — sharded sum.
-            out[i] += s.v[i].load(std::memory_order_relaxed);
+            out.*metrics::kCounterRows[i].field +=
+                s.v[i].load(std::memory_order_relaxed);
     }
+    return out;
 }
 
 void

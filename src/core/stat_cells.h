@@ -27,62 +27,17 @@
 #include <atomic>
 #include <cstdint>
 
+#include "metrics/counters.h"
 #include "metrics/telemetry.h"
 #include "util/clock.h"
-#include "util/failpoint.h"
 
 namespace msw::core {
 
-/**
- * Logical counter identities for the whole runtime family. One shared
- * namespace keeps the aggregation surface uniform; a runtime simply never
- * touches the slots it has no use for (an unused slot costs 8 bytes per
- * shard, nothing on any fast path).
- */
-enum class Stat : unsigned {
-    // Allocation surface (all runtimes).
-    kAllocCalls = 0,
-    kFreeCalls,
-    kDoubleFrees,
-
-    // Sweep/mark outcomes (MineSweeper, MarkUs).
-    kEntriesReleased,
-    kBytesReleased,
-    kFailedFrees,
-    kBytesScanned,
-    kSweepCpuNs,
-    kStwNs,
-    kPauseNs,
-    kUnmappedEntries,
-    kReleaseBinLocks,
-
-    // Sweep-phase breakdown (telemetry layer; MineSweeper, MarkUs).
-    kPhaseDirtyScanNs,
-    kPhaseMarkNs,
-    kPhaseDrainNs,
-    kPhaseReleaseNs,
-    kSweepWallNs,
-
-    // Resilience (MineSweeper).
-    kEmergencySweeps,
-    kCommitRetries,
-    kWatchdogFallbacks,
-    kOomReturns,
-
-    // Hardened allocation policy (canary + fill verification).
-    kCanaryChecks,
-    kCanaryViolations,
-    kSweepFillChecks,
-    kReleaseShuffles,
-
-    // Byte gauges (FFMalloc): add()/sub() pairs, exact under summation.
-    kLiveBytes,
-    kCommittedBytes,
-
-    kCount,
-};
-
-inline constexpr unsigned kStatCount = static_cast<unsigned>(Stat::kCount);
+// The counter ids and the SweepStats record come from the counter table
+// (metrics/counters.h), which metrics::RunScalars reads too.
+using metrics::kStatCount;
+using metrics::Stat;
+using metrics::SweepStats;
 
 class StatCells
 {
@@ -109,8 +64,8 @@ class StatCells
     /** Sum of @p stat over all shards. */
     std::uint64_t read(Stat stat) const;
 
-    /** Snapshot every counter (one pass over the shards). */
-    void read_all(std::uint64_t (&out)[kStatCount]) const;
+    /** Every counter in its SweepStats field (one pass over the shards). */
+    SweepStats read_all() const;
 
     /**
      * Zero every *event* counter across all shards. Gauges (kLiveBytes,
@@ -126,7 +81,8 @@ class StatCells
     static constexpr bool
     is_gauge(Stat stat)
     {
-        return stat == Stat::kLiveBytes || stat == Stat::kCommittedBytes;
+        return metrics::kCounterRows[static_cast<unsigned>(stat)].kind ==
+               metrics::CounterKind::kGauge;
     }
 
     /** Number of stripes (tests and benchmarks). */
@@ -210,45 +166,6 @@ class PhaseScope
     metrics::Histogram* const hist_;
     const std::uint64_t t0_;
     std::uint64_t arg_ = 0;
-};
-
-/** Counters describing sweeping activity (Fig 12, Fig 14 inputs). */
-struct SweepStats {
-    std::uint64_t sweeps = 0;
-    std::uint64_t entries_released = 0;
-    std::uint64_t bytes_released = 0;
-    std::uint64_t failed_frees = 0;      ///< Entry-test failures (cumulative).
-    std::uint64_t double_frees = 0;
-    std::uint64_t bytes_scanned = 0;     ///< Total marking traffic.
-    std::uint64_t sweep_cpu_ns = 0;      ///< Sweeper + helper CPU time.
-    std::uint64_t stw_ns = 0;            ///< Total stop-the-world time.
-    std::uint64_t pause_ns = 0;          ///< Allocation-pausing wait time.
-    std::uint64_t unmapped_entries = 0;  ///< Large allocations unmapped.
-    std::uint64_t release_bin_locks = 0; ///< Bin locks taken by release.
-
-    // Sweep-phase breakdown: wall-clock time of disjoint intervals
-    // inside each sweep, so their sum never exceeds sweep_wall_ns;
-    // stw_ns lies inside phase_mark_ns.
-    std::uint64_t phase_dirty_scan_ns = 0;  ///< Write-tracker arming.
-    std::uint64_t phase_mark_ns = 0;        ///< Both mark passes.
-    std::uint64_t phase_drain_ns = 0;       ///< Deferred-free drain.
-    std::uint64_t phase_release_ns = 0;     ///< Entry test + release batches.
-    std::uint64_t sweep_wall_ns = 0;        ///< Whole sweeps, wall clock.
-
-    // Resilience counters (memory-pressure degradation + watchdog).
-    std::uint64_t emergency_sweeps = 0;   ///< Reclaims run from alloc().
-    std::uint64_t commit_retries = 0;     ///< alloc() retries after failure.
-    std::uint64_t watchdog_fallbacks = 0; ///< Synchronous watchdog sweeps.
-    std::uint64_t oom_returns = 0;        ///< alloc() nullptr returns.
-
-    // Hardened-policy counters (zero under the default policy).
-    std::uint64_t canary_checks = 0;      ///< free()-time canary tests.
-    std::uint64_t canary_violations = 0;  ///< Tampered canaries/fills seen.
-    std::uint64_t sweep_fill_checks = 0;  ///< Release-time fill audits.
-    std::uint64_t release_shuffles = 0;   ///< Randomized release batches.
-
-    /** Process-global failpoint fire counts, indexed by util::Failpoint. */
-    std::uint64_t failpoint_hits[util::kNumFailpoints] = {};
 };
 
 }  // namespace msw::core

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "metrics/counters.h"
 #include "metrics/histogram.h"
 #include "util/clock.h"
 #include "util/mutex.h"
@@ -32,40 +33,25 @@
 namespace msw::metrics {
 
 /**
- * The fixed-size part of a RunRecord. Trivially copyable, so the fork
- * pipe ships it verbatim: a field added here reaches the parent with no
- * serialisation code.
+ * The fixed-size part of a RunRecord: the system's SweepStats (zeros if
+ * it does not sweep) plus the run's own measurements. Trivially
+ * copyable, so the fork pipe ships it verbatim, new counters included.
  */
-struct RunScalars {
+struct RunScalars : SweepStats {
     double wall_s = 0;
     double cpu_s = 0;          ///< Process CPU time (all threads).
     std::size_t avg_rss = 0;   ///< Mean sampled RSS (bytes).
     std::size_t peak_rss = 0;  ///< Max sampled RSS (bytes).
-    std::uint64_t sweeps = 0;
     std::uint64_t allocs = 0;
     std::uint64_t frees = 0;
-    std::uint64_t checksum = 0;  ///< Workload output (validity check).
-
-    // Resilience counters (memory-pressure degradation, see core/options.h).
-    std::uint64_t emergency_sweeps = 0;    ///< Reclaims run from alloc().
-    std::uint64_t commit_retries = 0;      ///< alloc() retries after failure.
-    std::uint64_t watchdog_fallbacks = 0;  ///< Synchronous watchdog sweeps.
-    std::uint64_t oom_returns = 0;         ///< alloc() nullptr returns.
-    std::uint64_t failed_allocs = 0;       ///< Workload-observed nullptrs.
+    std::uint64_t checksum = 0;       ///< Workload output (validity check).
+    std::uint64_t failed_allocs = 0;  ///< Workload-observed nullptrs.
 
     // Telemetry (observability layer, DESIGN.md §14): per-operation
-    // request latency and the runtime's pause/phase breakdown.
+    // request latency and the pause distributions.
     LatencySummary op_latency;   ///< Workload request latency digest.
     LatencySummary alloc_pause;  ///< Backpressure allocation pauses.
     LatencySummary stw_pause;    ///< Stop-the-world windows.
-    std::uint64_t pause_total_ns = 0;       ///< Sum of allocation pauses.
-    std::uint64_t stw_total_ns = 0;         ///< Sum of STW windows.
-    std::uint64_t phase_dirty_scan_ns = 0;  ///< Per-phase sweep totals.
-    std::uint64_t phase_mark_ns = 0;
-    std::uint64_t phase_drain_ns = 0;
-    std::uint64_t phase_release_ns = 0;
-    std::uint64_t sweep_wall_ns = 0;  ///< Whole sweeps; bounds the phases.
-    std::uint64_t release_bin_locks = 0;  ///< Bin locks taken by release.
 
     bool ok = false;  ///< Child completed successfully.
 };

@@ -21,9 +21,6 @@ char g_dump_path[1024];
 
 std::atomic<bool> g_usr2_installed{false};
 
-/// Maximum counters a provider may export through one dump.
-constexpr std::size_t kMaxCounters = 32;
-
 bool
 env_truthy(const char* v)
 {
@@ -91,6 +88,21 @@ usr2_handler(int)
     errno = saved_errno;
 }
 
+/// The registered provider's counters, named by export_counters; none
+/// without a provider or a runtime. Async-signal-safe.
+std::size_t
+provider_counters(TelemetryCounter (&out)[kMaxCounters])
+{
+    // msw-relaxed(config-flag): provider pointer published once during
+    // bootstrap; a null read here just omits the counters.
+    const SweepStatsFn fn =
+        g_telemetry.stats_fn.load(std::memory_order_relaxed);
+    SweepStats s;
+    if (fn == nullptr || !fn(&s))
+        return 0;
+    return export_counters(s, out);
+}
+
 }  // namespace
 
 Telemetry&
@@ -136,6 +148,19 @@ telemetry_stats_dump_path()
     return g_dump_path[0] != '\0' ? g_dump_path : nullptr;
 }
 
+static_assert(kStatCount + 1 <= kMaxCounters,
+              "a dump must carry every counter-table row plus sweeps");
+
+std::size_t
+export_counters(const SweepStats& s, TelemetryCounter (&out)[kMaxCounters])
+{
+    std::size_t n = 0;
+    out[n++] = TelemetryCounter{"sweeps", s.sweeps};
+    for (const CounterRow& row : kCounterRows)
+        out[n++] = TelemetryCounter{row.name, s.*row.field};
+    return n;
+}
+
 bool
 telemetry_write_json(const char* path)
 {
@@ -157,17 +182,12 @@ telemetry_write_json(const char* path)
     json_summary(f, "stw_pause_ns", t.stw_ns.summarize(), true);
 
     std::fprintf(f, "  \"counters\": {");
-    // msw-relaxed(config-flag): provider pointer published once during
-    // bootstrap; a null read here just omits the counters section.
-    if (TelemetryCounterFn fn =
-            t.counter_fn.load(std::memory_order_relaxed)) {
-        TelemetryCounter counters[kMaxCounters];
-        const std::size_t n = fn(counters, kMaxCounters);
-        for (std::size_t i = 0; i < n; ++i) {
-            std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ",
-                         counters[i].name,
-                         static_cast<unsigned long long>(counters[i].value));
-        }
+    TelemetryCounter counters[kMaxCounters];
+    const std::size_t nc = provider_counters(counters);
+    for (std::size_t i = 0; i < nc; ++i) {
+        std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ",
+                     counters[i].name,
+                     static_cast<unsigned long long>(counters[i].value));
     }
     std::fprintf(f, "},\n");
 
@@ -203,19 +223,14 @@ telemetry_dump_sigsafe(int fd)
     sigsafe_summary(w, "free_ns", t.free_ns.summarize());
     sigsafe_summary(w, "alloc_pause_ns", t.pause_ns.summarize());
     sigsafe_summary(w, "stw_pause_ns", t.stw_ns.summarize());
-    // msw-relaxed(config-flag): provider pointer published once during
-    // bootstrap; a null read here just omits the counters section.
-    if (TelemetryCounterFn fn =
-            t.counter_fn.load(std::memory_order_relaxed)) {
-        TelemetryCounter counters[kMaxCounters];
-        const std::size_t n = fn(counters, kMaxCounters);
-        for (std::size_t i = 0; i < n; ++i) {
-            w.str("counter ");
-            w.str(counters[i].name);
-            w.str("=");
-            w.dec(counters[i].value);
-            w.str("\n");
-        }
+    TelemetryCounter counters[kMaxCounters];
+    const std::size_t nc = provider_counters(counters);
+    for (std::size_t i = 0; i < nc; ++i) {
+        w.str("counter ");
+        w.str(counters[i].name);
+        w.str("=");
+        w.dec(counters[i].value);
+        w.str("\n");
     }
     TraceRecord tail[16];
     const std::size_t n =

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "metrics/counters.h"
 #include "metrics/histogram.h"
 #include "metrics/trace_ring.h"
 #include "util/clock.h"
@@ -42,12 +43,22 @@ struct TelemetryCounter {
 };
 
 /**
- * Provider filling @p out (capacity @p cap) with runtime counters; the
- * shim registers one reading SweepStats. Must be async-signal-safe:
- * the SIGUSR2 handler calls it.
+ * Provider of the runtime's counters for the dumps: fills @p out and
+ * returns true, or returns false while there is no runtime to read. The
+ * shim registers one. Must be async-signal-safe: the SIGUSR2 handler
+ * calls it.
  */
-using TelemetryCounterFn = std::size_t (*)(TelemetryCounter* out,
-                                           std::size_t cap);
+using SweepStatsFn = bool (*)(SweepStats* out);
+
+/** Maximum counters one dump exports. */
+inline constexpr std::size_t kMaxCounters = 32;
+
+/**
+ * Fill @p out with `sweeps`, then one counter per counter-table row;
+ * returns the count written. Async-signal-safe.
+ */
+std::size_t export_counters(const SweepStats& s,
+                            TelemetryCounter (&out)[kMaxCounters]);
 
 class Telemetry
 {
@@ -92,7 +103,7 @@ class Telemetry
     Histogram stw_ns;    ///< Stop-the-world windows of the sweep.
     TraceRing trace;
 
-    std::atomic<TelemetryCounterFn> counter_fn{nullptr};
+    std::atomic<SweepStatsFn> stats_fn{nullptr};
 };
 
 /** The process-wide instance (static storage; allocation-free). */

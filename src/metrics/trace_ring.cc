@@ -49,11 +49,21 @@ TraceRing::push(TraceEvent event, std::uint64_t a0, std::uint64_t a1)
     const std::uint64_t ticket =
         cursor_.fetch_add(1, std::memory_order_relaxed);
     Slot& s = slots_[ticket & (kSlots - 1)];
-    // Mark the slot unstable. The acquire half of the RMW keeps the
-    // payload stores below from moving above it; the release store at
-    // the end keeps them from moving below. Readers seeing an odd (or
-    // changed) sequence discard the slot.
-    (void)s.seq.exchange(ticket * 2 + 1, std::memory_order_acq_rel);
+    // Claim the slot (odd) only from a stable older lap, else drop the
+    // event: two writers would publish interleaved payloads. The claim
+    // and the final release store bracket the payload stores.
+    // msw-relaxed(trace-ring): claim seed; a failed CAS reloads it.
+    std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
+    for (;;) {
+        if ((seq & 1) != 0 || seq > ticket * 2)
+            return;
+        // msw-cas(trace-ring): sequence words only grow, so no ABA;
+        // relaxed failure order — only a successful claim orders.
+        if (s.seq.compare_exchange_weak(seq, ticket * 2 + 1,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed))
+            break;
+    }
     // msw-relaxed(trace-ring): payload stores bracketed by the
     // sequence-word edges above/below; no independent ordering needed.
     s.ts.store(util::now_ns(), std::memory_order_relaxed);

@@ -65,7 +65,10 @@ class TraceRing
     TraceRing(const TraceRing&) = delete;
     TraceRing& operator=(const TraceRing&) = delete;
 
-    /** Append one event (wait-free; overwrites the oldest slot). */
+    /**
+     * Append one event (wait-free; overwrites the oldest slot, or drops
+     * the event while a producer a lap away holds that slot).
+     */
     void push(TraceEvent event, std::uint64_t a0 = 0,
               std::uint64_t a1 = 0);
 
@@ -76,7 +79,7 @@ class TraceRing
      */
     std::size_t snapshot(TraceRecord* out, std::size_t cap) const;
 
-    /** Total events pushed since construction/reset. */
+    /** Events pushed since construction/reset, dropped ones included. */
     std::uint64_t pushed() const;
 
     /** Clear the ring. Only legal with no concurrent writers. */

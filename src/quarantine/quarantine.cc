@@ -251,7 +251,10 @@ Quarantine::insert(const Entry& entry)
         pending_bytes_.fetch_add(entry.usable, std::memory_order_relaxed);
     }
     ThreadBuffer* buf = get_buffer();
-    buf->entries[buf->count++] = entry;
+    // Entry before count: a fork child may adopt this buffer mid-push.
+    buf->entries[buf->count] = entry;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    ++buf->count;
     if (buf->count == buf->capacity)
         flush_thread_buffer();
 }

@@ -119,42 +119,19 @@ scan_maps_roots()
 }
 
 /**
- * Telemetry counter provider: the runtime counters exported through
- * MSW_STATS_DUMP and the SIGUSR2 dump. Async-signal-safe — sweep_stats()
- * is relaxed atomic reads into a stack struct, no allocation.
+ * Telemetry stats provider for MSW_STATS_DUMP and the SIGUSR2 dump.
+ * Async-signal-safe — sweep_stats() is relaxed atomic reads into a
+ * stack struct, no allocation.
  */
-std::size_t
-shim_counters(msw::metrics::TelemetryCounter* out, std::size_t cap)
+bool
+shim_sweep_stats(msw::metrics::SweepStats* out)
 {
     if (g_state.load(std::memory_order_acquire) < 2 ||
         g_engine == nullptr) {
-        return 0;
+        return false;
     }
-    const msw::core::SweepStats s = g_engine->sweep_stats();
-    std::size_t n = 0;
-    const auto put = [&](const char* name, std::uint64_t v) {
-        if (n < cap)
-            out[n++] = msw::metrics::TelemetryCounter{name, v};
-    };
-    put("sweeps", s.sweeps);
-    put("entries_released", s.entries_released);
-    put("bytes_released", s.bytes_released);
-    put("failed_frees", s.failed_frees);
-    put("double_frees", s.double_frees);
-    put("bytes_scanned", s.bytes_scanned);
-    put("sweep_cpu_ns", s.sweep_cpu_ns);
-    put("stw_ns", s.stw_ns);
-    put("pause_ns", s.pause_ns);
-    put("phase_dirty_scan_ns", s.phase_dirty_scan_ns);
-    put("phase_mark_ns", s.phase_mark_ns);
-    put("phase_drain_ns", s.phase_drain_ns);
-    put("phase_release_ns", s.phase_release_ns);
-    put("release_bin_locks", s.release_bin_locks);
-    put("sweep_wall_ns", s.sweep_wall_ns);
-    put("emergency_sweeps", s.emergency_sweeps);
-    put("watchdog_fallbacks", s.watchdog_fallbacks);
-    put("oom_returns", s.oom_returns);
-    return n;
+    *out = g_engine->sweep_stats();
+    return true;
 }
 
 MineSweeper*
@@ -192,8 +169,8 @@ engine()
         if (msw::metrics::telemetry_init_from_env()) {
             // msw-relaxed(config-flag): publishes a pointer to code,
             // not to runtime-built data; readers load it relaxed.
-            msw::metrics::telemetry().counter_fn.store(
-                &shim_counters, std::memory_order_relaxed);
+            msw::metrics::telemetry().stats_fn.store(
+                &shim_sweep_stats, std::memory_order_relaxed);
             msw::metrics::telemetry_install_sigusr2();
         }
         tls_in_init = false;

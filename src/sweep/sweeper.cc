@@ -265,10 +265,8 @@ Marker::mark_ranges(const std::vector<Range>& ranges, SweepWorkers* workers)
     });
 
     MarkStats total;
-    for (const MarkStats& s : per_worker) {
-        total.bytes_scanned += s.bytes_scanned;
-        total.pointers_found += s.pointers_found;
-    }
+    for (const MarkStats& s : per_worker)
+        total.add(s);
     return total;
 }
 

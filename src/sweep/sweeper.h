@@ -33,6 +33,13 @@ namespace msw::sweep {
 struct MarkStats {
     std::uint64_t bytes_scanned = 0;
     std::uint64_t pointers_found = 0;
+
+    void
+    add(const MarkStats& o)
+    {
+        bytes_scanned += o.bytes_scanned;
+        pointers_found += o.pointers_found;
+    }
 };
 
 /**

@@ -40,22 +40,9 @@ measure(SystemKind kind,
             rec.checksum = result.checksum;
             rec.failed_allocs = result.failed_allocs;
             rec.op_latency = result.op_latency;
-            const core::SweepStats st = sys.sweep_stats();
-            rec.sweeps = st.sweeps;
-            rec.emergency_sweeps = st.emergency_sweeps;
-            rec.commit_retries = st.commit_retries;
-            rec.watchdog_fallbacks = st.watchdog_fallbacks;
-            rec.oom_returns = st.oom_returns;
+            static_cast<core::SweepStats&>(rec) = sys.sweep_stats();
             rec.alloc_pause = metrics::telemetry().pause_ns.summarize();
             rec.stw_pause = metrics::telemetry().stw_ns.summarize();
-            rec.pause_total_ns = st.pause_ns;
-            rec.stw_total_ns = st.stw_ns;
-            rec.phase_dirty_scan_ns = st.phase_dirty_scan_ns;
-            rec.phase_mark_ns = st.phase_mark_ns;
-            rec.phase_drain_ns = st.phase_drain_ns;
-            rec.phase_release_ns = st.phase_release_ns;
-            rec.sweep_wall_ns = st.sweep_wall_ns;
-            rec.release_bin_locks = st.release_bin_locks;
             rec.ok = true;
             return rec;
         },

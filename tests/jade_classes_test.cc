@@ -60,8 +60,9 @@ TEST_P(PerClassTest, FullSlabHasNoOverlapsAndCoversSlots)
     // Distinct objects must be spaced by at least the class size.
     std::uintptr_t prev = 0;
     for (const std::uintptr_t base : bases) {
-        if (prev != 0)
+        if (prev != 0) {
             ASSERT_GE(base - prev, size);
+        }
         prev = base;
     }
     for (void* p : objs)
@@ -91,9 +92,10 @@ TEST_P(PerClassTest, FreeDirectReturnsSlotToBin)
     const std::size_t size = class_size(cls);
     void* p = jade.alloc(size);
     jade.free_direct(p);
+    // The bin caches one empty slab, so the slot still resolves, free.
     JadeAllocator::AllocationInfo info;
-    if (jade.lookup_allocation(to_addr(p), &info))
-        EXPECT_FALSE(info.live);
+    ASSERT_TRUE(jade.lookup_allocation(to_addr(p), &info));
+    EXPECT_FALSE(info.live);
     EXPECT_EQ(jade.live_bytes(), 0u);
 }
 

@@ -3,8 +3,9 @@
 // still quarantined (pending, failed or unmapped), and every free is
 // either a released entry or a still-quarantined one. The same trace
 // checks the phase accounting: phase times fit inside the sweeps' wall
-// time, stop-the-world windows are counted and timed exactly once, and
-// release takes at most one bin lock per released entry.
+// time, stop-the-world windows are counted and timed exactly once,
+// release takes at most one bin lock per released entry, and mark finds
+// at most one pointer per scanned word.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -138,6 +139,17 @@ TEST_P(LedgerTest, ReleaseTakesAtMostOneBinLockPerEntry)
     const SweepStats st = rt->sweep_stats();
     EXPECT_GT(st.release_bin_locks, 0u);
     EXPECT_LE(st.release_bin_locks, st.entries_released);
+}
+
+// pointers_found counts scanned words, so it is bounded by the words
+// scanned; the dangling root copies guarantee some hits.
+TEST_P(LedgerTest, MarkFindsAtMostOnePointerPerScannedWord)
+{
+    const std::unique_ptr<QuarantineRuntime> rt = GetParam().make();
+    run_trace(*rt);
+    const SweepStats st = rt->sweep_stats();
+    EXPECT_GT(st.pointers_found, 0u);
+    EXPECT_LE(st.pointers_found, st.bytes_scanned / 8);
 }
 
 TEST_P(LedgerTest, PhaseTimesFitTheSweepWallTime)

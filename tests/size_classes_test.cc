@@ -18,8 +18,9 @@ TEST(SizeClasses, SizesStrictlyIncreaseAndAreGranuleMultiples)
 {
     for (unsigned c = 0; c < num_size_classes(); ++c) {
         EXPECT_EQ(class_size(c) % kGranule, 0u) << "class " << c;
-        if (c > 0)
+        if (c > 0) {
             EXPECT_GT(class_size(c), class_size(c - 1)) << "class " << c;
+        }
     }
 }
 
@@ -28,8 +29,9 @@ TEST(SizeClasses, LookupReturnsSmallestFittingClass)
     for (std::size_t size = 1; size <= kMaxSmallSize; ++size) {
         const unsigned cls = size_to_class(size);
         ASSERT_GE(class_size(cls), size) << "size " << size;
-        if (cls > 0)
+        if (cls > 0) {
             ASSERT_LT(class_size(cls - 1), size) << "size " << size;
+        }
     }
 }
 
@@ -83,8 +85,9 @@ TEST(SlabGeometry, SmallClassesHaveManySlots)
     // Classes up to 512 B should pack at least 8 objects per slab so bin
     // refills amortise.
     for (unsigned c = 0; c < num_size_classes(); ++c) {
-        if (class_size(c) <= 512)
+        if (class_size(c) <= 512) {
             EXPECT_GE(slab_slots(c), 8u) << "class size " << class_size(c);
+        }
     }
 }
 

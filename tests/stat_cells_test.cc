@@ -85,10 +85,9 @@ TEST(StatCellsTest, ReadAllMatchesPerStatReads)
     StatCells cells;
     for (unsigned s = 0; s < kStatCount; ++s)
         cells.add(static_cast<Stat>(s), s + 1);
-    std::uint64_t all[kStatCount];
-    cells.read_all(all);
+    const SweepStats all = cells.read_all();
     for (unsigned s = 0; s < kStatCount; ++s) {
-        EXPECT_EQ(all[s], s + 1) << "stat " << s;
+        EXPECT_EQ(all.*metrics::kCounterRows[s].field, s + 1) << "stat " << s;
         EXPECT_EQ(cells.read(static_cast<Stat>(s)), s + 1);
     }
 }

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
+#include <set>
 #include <sys/wait.h>
 #include <string>
 #include <unistd.h>
@@ -146,6 +147,61 @@ TEST_F(TelemetryTest, JsonExportCarriesHistogramsAndTrace)
     EXPECT_NE(json.find("\"trace\""), std::string::npos);
     EXPECT_NE(json.find("alloc_pause"), std::string::npos)
         << "trace entries are exported by event name";
+}
+
+// The dump's counter names are read by perfbench and its fixtures: the
+// provider exports sweeps plus one uniquely named counter per table row,
+// each carrying its own field's value, keeps every name it has ever
+// exported, and fits the dump's buffer.
+TEST_F(TelemetryTest, CounterProviderExportsOneNamePerTableRow)
+{
+    SweepStats s;
+    s.sweeps = 1000;
+    for (unsigned i = 0; i < kStatCount; ++i)
+        s.*kCounterRows[i].field = i + 1;
+
+    TelemetryCounter out[kMaxCounters];
+    const std::size_t n = export_counters(s, out);
+    ASSERT_EQ(n, kStatCount + 1);
+    ASSERT_LE(n, kMaxCounters);
+
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(names.insert(out[i].name).second) << out[i].name;
+    EXPECT_STREQ(out[0].name, "sweeps");
+    EXPECT_EQ(out[0].value, 1000u);
+    for (unsigned i = 0; i < kStatCount; ++i) {
+        EXPECT_STREQ(out[i + 1].name, kCounterRows[i].name);
+        EXPECT_EQ(out[i + 1].value, i + 1u) << out[i + 1].name;
+    }
+
+    for (const char* key :
+         {"sweeps", "entries_released", "bytes_released", "failed_frees",
+          "double_frees", "bytes_scanned", "sweep_cpu_ns", "stw_ns",
+          "pause_ns", "phase_dirty_scan_ns", "phase_mark_ns",
+          "phase_drain_ns", "phase_release_ns", "release_bin_locks",
+          "sweep_wall_ns", "emergency_sweeps", "watchdog_fallbacks",
+          "oom_returns"}) {
+        EXPECT_EQ(names.count(key), 1u) << key;
+    }
+    EXPECT_EQ(out[1 + static_cast<unsigned>(Stat::kStwNs)].value, s.stw_ns);
+
+    // The JSON dump exports a registered provider's stats the same way.
+    telemetry().stats_fn.store(
+        [](SweepStats* o) {
+            *o = SweepStats{};
+            o->pointers_found = 4242;
+            return true;
+        },
+        std::memory_order_relaxed);
+    const std::string path = temp_path("counters");
+    const bool written = telemetry_write_json(path.c_str());
+    telemetry().stats_fn.store(nullptr, std::memory_order_relaxed);
+    ASSERT_TRUE(written);
+    const std::string json = slurp(path);
+    ::unlink(path.c_str());
+    EXPECT_NE(json.find("\"pointers_found\": 4242"), std::string::npos);
+    EXPECT_NE(json.find("\"sweeps\": 0"), std::string::npos);
 }
 
 TEST_F(TelemetryTest, SigsafeDumpWritesDigests)

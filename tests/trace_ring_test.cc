@@ -34,8 +34,9 @@ TEST(TraceRing, RecordsInOrder)
         EXPECT_EQ(out[i].event, TraceEvent::kSweepBegin);
         EXPECT_EQ(out[i].a0, i);
         EXPECT_EQ(out[i].a1, i * 2);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(out[i].ts_ns, out[i - 1].ts_ns);
+        }
     }
 }
 

@@ -5,25 +5,41 @@ The server tail-latency benchmark is the repo's answer to "where do the
 pauses land"; CI runs it in short duration mode and this script fails
 the job if the output lost a system, a percentile key, or its
 provenance stamp — the shapes the plotting/tracking tooling consumes.
-It also checks that the reported times agree with each other: the four
-sweep phases fit inside the sweeps' wall time, the STW windows fit
-inside the mark phase, and STW time is reported exactly when STW pauses
-were counted.
+Every system must carry `sweeps` and every counter of the runtime's
+counter table, read from the rows of src/metrics/counters.h so the
+check cannot drift from what the benchmark emits. It also checks that
+the reported times agree with each other: the four sweep phases fit
+inside the sweeps' wall time, the STW windows fit inside the mark phase,
+and STW time is reported exactly when STW pauses were counted.
 
 Usage: check_server_tail.py [path-to-BENCH_server_tail.json]
 """
 
 import json
+import os
+import re
 import sys
 
+SCHEMA_VERSION = 3
+COUNTERS_H = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "..", "..", "src", "metrics", "counters.h")
 EXPECTED_SYSTEMS = ("baseline", "markus", "ffmalloc", "minesweeper")
 LATENCY_KEYS = ("count", "mean_ns", "p50_ns", "p90_ns", "p99_ns",
                 "p999_ns", "max_ns")
 DIGEST_KEYS = ("op_latency_ns", "alloc_pause_ns", "stw_pause_ns")
 PHASE_KEYS = ("phase_dirty_scan_ns", "phase_mark_ns", "phase_drain_ns",
               "phase_release_ns")
-TOTAL_KEYS = ("pause_total_ns", "stw_total_ns", "sweep_wall_ns",
-              "release_bin_locks") + PHASE_KEYS
+
+
+def table_counters(path=COUNTERS_H):
+    """Exported names of the counter table's rows, X(id, name, kind)."""
+    with open(path) as f:
+        text = f.read()
+    names = re.findall(r"^\s*X\(k\w+, (\w+), k(?:Event|Gauge)\)", text,
+                       re.MULTILINE)
+    if not names:
+        raise ValueError(f"no counter rows found in {path}")
+    return names
 
 
 def consistency_errors(name, sys_doc):
@@ -34,12 +50,12 @@ def consistency_errors(name, sys_doc):
     if phases > sys_doc["sweep_wall_ns"]:
         errors.append(f"{name}: phase sum {phases} > sweep_wall_ns "
                       f"{sys_doc['sweep_wall_ns']}")
-    stw = sys_doc["stw_total_ns"]
+    stw = sys_doc["stw_ns"]
     if stw > sys_doc["phase_mark_ns"]:
-        errors.append(f"{name}: stw_total_ns {stw} > phase_mark_ns "
+        errors.append(f"{name}: stw_ns {stw} > phase_mark_ns "
                       f"{sys_doc['phase_mark_ns']}")
     if (stw > 0) != (sys_doc["stw_pause_ns"]["count"] > 0):
-        errors.append(f"{name}: stw_total_ns {stw} but stw_pause_ns "
+        errors.append(f"{name}: stw_ns {stw} but stw_pause_ns "
                       f"count {sys_doc['stw_pause_ns']['count']}")
     return errors
 
@@ -54,10 +70,20 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
+    try:
+        total_keys = ["sweeps"] + table_counters()
+    except (OSError, ValueError) as e:
+        print(f"check_server_tail: cannot read the counter table: {e}",
+              file=sys.stderr)
+        return 1
+
     errors = []
     for key in ("schema_version", "git_describe", "systems"):
         if key not in doc:
             errors.append(f"missing top-level key {key!r}")
+    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        errors.append(f"schema_version {doc['schema_version']} != "
+                      f"{SCHEMA_VERSION}")
     systems = doc.get("systems", {})
 
     for name in EXPECTED_SYSTEMS:
@@ -79,7 +105,7 @@ def main() -> int:
             # the histogram plumbing) silently broke.
             if digest == "op_latency_ns" and d.get("count", 0) <= 0:
                 errors.append(f"{name}: zero timed operations")
-        for k in TOTAL_KEYS:
+        for k in total_keys:
             if k not in sys_doc:
                 errors.append(f"{name}: missing key {k!r}")
 
