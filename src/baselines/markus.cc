@@ -100,29 +100,36 @@ MarkUs::scan_for_objects(std::uintptr_t base, std::size_t len,
     return found;
 }
 
-std::vector<Range>
+sweep::ScanSet
 MarkUs::scan_set() const
 {
-    std::vector<Range> ranges;
+    using sweep::Origin;
+    sweep::ScanSet set;
     for (const Range& r : roots_.roots())
-        sweep::append_resident_subranges(r, &ranges);
+        sweep::append_resident_subranges(r, &set[Origin::kRoots]);
     for (const Range& r : roots_.stacks())
-        sweep::append_resident_subranges(r, &ranges);
-    return ranges;
+        sweep::append_resident_subranges(r, &set[Origin::kStacks]);
+    return set;
 }
 
 sweep::MarkStats
-MarkUs::mark(const std::vector<Range>& ranges)
+MarkUs::mark(const sweep::ScanSet& set)
 {
     // The input ranges seed the mark stack; every object reached is
     // pushed in turn until the closure is complete.
-    std::vector<Range> worklist(ranges);
+    std::vector<Range> worklist;
     sweep::MarkStats stats;
+    for (unsigned o = 0; o < sweep::kNumOrigins; ++o) {
+        for (const Range& r : set.ranges[o]) {
+            stats.add(static_cast<sweep::Origin>(o), r.len,
+                      scan_for_objects(r.base, r.len, &worklist));
+        }
+    }
     while (!worklist.empty()) {
         const Range r = worklist.back();
         worklist.pop_back();
-        stats.bytes_scanned += r.len;
-        stats.pointers_found += scan_for_objects(r.base, r.len, &worklist);
+        stats.add(sweep::Origin::kHeap, r.len,
+                  scan_for_objects(r.base, r.len, &worklist));
     }
     return stats;
 }

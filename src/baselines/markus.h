@@ -63,9 +63,10 @@ class MarkUs final : public core::QuarantineRuntime
 
   private:
     /** Resident roots and stacks: the transitive mark's starting set. */
-    std::vector<sweep::Range> scan_set() const override;
-    /** Transitive closure from @p ranges (Boehm-style mark stack). */
-    sweep::MarkStats mark(const std::vector<sweep::Range>& ranges) override;
+    sweep::ScanSet scan_set() const override;
+    /** Transitive closure from @p set (Boehm-style mark stack); the
+        objects it reaches count as heap origin. */
+    sweep::MarkStats mark(const sweep::ScanSet& set) override;
     /**
      * Scan [base, base+len) for pointers; push newly marked objects.
      * Returns the words that resolved to an allocation.

@@ -32,16 +32,18 @@ MineSweeper::~MineSweeper()
 
 // ---------------------------------------------------------------- sweeps
 
-std::vector<Range>
+sweep::ScanSet
 MineSweeper::scan_set() const
 {
-    std::vector<Range> ranges = access_map_.committed_runs();
+    using sweep::Origin;
+    sweep::ScanSet set;
+    set[Origin::kHeap] = access_map_.committed_runs();
     for (const Range& r : roots_.roots())
-        sweep::append_resident_subranges(r, &ranges);
+        sweep::append_resident_subranges(r, &set[Origin::kRoots]);
     // Stacks are filtered to resident pages: untouched stack pages are
-    // all-zero and cannot hold pointers.
+    // all-zero or unmapped and cannot hold pointers.
     for (const Range& r : roots_.stacks())
-        sweep::append_resident_subranges(r, &ranges);
+        sweep::append_resident_subranges(r, &set[Origin::kStacks]);
     // Copy the provider under its lock: the shim may swap it while this
     // sweep is already running.
     std::function<std::vector<Range>()> provider;
@@ -60,16 +62,17 @@ MineSweeper::scan_set() const
                 }
             }
             if (!overlaps_internal)
-                sweep::append_resident_subranges(r, &ranges);
+                sweep::append_resident_subranges(
+                    r, &set[Origin::kExtraRoots]);
         }
     }
-    return ranges;
+    return set;
 }
 
 sweep::MarkStats
-MineSweeper::mark(const std::vector<Range>& ranges)
+MineSweeper::mark(const sweep::ScanSet& set)
 {
-    return marker_.mark_ranges(ranges, workers_.get());
+    return marker_.mark_ranges(set, workers_.get());
 }
 
 // msw-analyze: slow-path(configuration API: called once at engine

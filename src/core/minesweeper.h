@@ -98,8 +98,8 @@ class MineSweeper final : public QuarantineRuntime
 
   private:
     /** Committed heap runs, roots, stacks and extra-provider ranges. */
-    std::vector<sweep::Range> scan_set() const override;
-    sweep::MarkStats mark(const std::vector<sweep::Range>& ranges) override;
+    sweep::ScanSet scan_set() const override;
+    sweep::MarkStats mark(const sweep::ScanSet& set) override;
 
     sweep::Marker marker_;
 

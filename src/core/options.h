@@ -47,7 +47,12 @@ enum class Mode {
 struct Options {
     Mode mode = Mode::kFullyConcurrent;
 
-    /** Sweep when quarantine exceeds this fraction of the live heap. */
+    /**
+     * Sweep when quarantine exceeds this fraction of the live heap, or
+     * of the non-heap bytes (roots, stacks, extra roots) the last sweep
+     * scanned when those are larger: a sweep's cost, not the heap alone
+     * (DESIGN.md §3).
+     */
     double sweep_threshold = 0.15;
 
     /** Do not sweep below this many quarantined bytes (startup damping). */
@@ -73,8 +78,8 @@ struct Options {
 
     /**
      * Pause allocations briefly when the quarantine exceeds this multiple
-     * of the live heap and a sweep is running (§5.7 backpressure).
-     * 0 disables pausing.
+     * of the live heap (or of the last non-heap scan, when larger) and a
+     * sweep is running (§5.7 backpressure). 0 disables pausing.
      */
     double pause_factor = 8.0;
 

@@ -56,6 +56,14 @@ struct ReleaseTally {
     }
 };
 
+/** The per-origin counter rows, in sweep::Origin order. */
+constexpr Stat kOriginBytes[sweep::kNumOrigins] = {
+    Stat::kBytesScannedHeap, Stat::kBytesScannedRoots,
+    Stat::kBytesScannedStacks, Stat::kBytesScannedExtraRoots};
+constexpr Stat kOriginPointers[sweep::kNumOrigins] = {
+    Stat::kPointersFoundHeap, Stat::kPointersFoundRoots,
+    Stat::kPointersFoundStacks, Stat::kPointersFoundExtraRoots};
+
 /** Quarantine release-order adapter: the quarantine layer knows nothing
     of AllocPolicy, so the hook arrives as fn-pointer + context. */
 void
@@ -369,50 +377,72 @@ QuarantineRuntime::free_impl(void* ptr)
 
 // ------------------------------------------------------------- triggering
 
+TriggerDecision
+decide_trigger(const Options& opts, const TriggerInput& in)
+{
+    // Heap size for the trigger: total live bytes minus failed frees
+    // (subtracted from both sides, §3.2) minus unmapped quarantine (which
+    // no longer consumes memory, §4.2).
+    const std::size_t heap = in.jade_live > in.failed + in.unmapped
+                                 ? in.jade_live - in.failed - in.unmapped
+                                 : 0;
+    // What the next sweep will scan: the heap, and the roots, stacks and
+    // extra roots the last one scanned. While those are the smaller part
+    // this is the paper's rule; when they dominate, the quarantine may
+    // grow with them so each sweep frees in proportion to its cost.
+    const double cost =
+        static_cast<double>(std::max(heap, in.last_non_heap_scan));
+    const double pending = static_cast<double>(in.pending);
+
+    TriggerDecision d;
+    d.sweep = in.pending >= opts.min_sweep_bytes &&
+              pending >= opts.sweep_threshold * cost;
+
+    // Unmapped quarantine pressures kernel/allocator metadata even though
+    // it holds no memory: sweep when it reaches 9x the footprint (§4.2).
+    if (!d.sweep && in.unmapped >= opts.min_sweep_bytes &&
+        static_cast<double>(in.unmapped) >=
+            opts.unmapped_factor * static_cast<double>(in.committed)) {
+        d.sweep = true;
+    }
+    if (!d.sweep)
+        return d;
+
+    // Backpressure (§5.7): if the quarantine has grown far past what a
+    // sweep scans (the live heap, or the non-heap ranges when they are
+    // larger) while a sweep is running, pause this allocating thread
+    // until the sweep completes.
+    const std::size_t live =
+        heap > in.pending ? heap - in.pending : in.pending;
+    d.pause = opts.pause_factor > 0 &&
+              pending > opts.pause_factor *
+                            static_cast<double>(
+                                std::max(live, in.last_non_heap_scan));
+    return d;
+}
+
 void
 QuarantineRuntime::maybe_trigger_sweep()
 {
     const std::size_t pending = quarantine_.pending_bytes();
-    if (pending < options_.min_sweep_bytes &&
-        quarantine_.unmapped_bytes() < options_.min_sweep_bytes) {
-        return;
-    }
-    const std::size_t failed = quarantine_.failed_bytes();
     const std::size_t unmapped = quarantine_.unmapped_bytes();
-    const std::size_t jade_live = jade_.live_bytes();
-    // Heap size for the trigger: total live bytes minus failed frees
-    // (subtracted from both sides, §3.2) minus unmapped quarantine (which
-    // no longer consumes memory, §4.2).
-    const std::size_t heap =
-        jade_live > failed + unmapped ? jade_live - failed - unmapped : 0;
-
-    bool trigger =
-        pending >= options_.min_sweep_bytes &&
-        static_cast<double>(pending) >=
-            options_.sweep_threshold * static_cast<double>(heap);
-
-    // Unmapped quarantine pressures kernel/allocator metadata even though
-    // it holds no memory: sweep when it reaches 9x the footprint (§4.2).
-    if (!trigger && unmapped >= options_.min_sweep_bytes &&
-        static_cast<double>(unmapped) >=
-            options_.unmapped_factor *
-                static_cast<double>(access_map_.committed_bytes())) {
-        trigger = true;
-    }
-
-    if (!trigger)
+    if (pending < options_.min_sweep_bytes &&
+        unmapped < options_.min_sweep_bytes) {
         return;
-
-    // Backpressure (§5.7): if the quarantine has grown far past the heap
-    // while a sweep is running, pause this allocating thread until the
-    // sweep completes.
-    const bool pause =
-        options_.pause_factor > 0 &&
-        static_cast<double>(pending) >
-            options_.pause_factor *
-                static_cast<double>(heap > pending ? heap - pending
-                                                   : pending);
-    controller_.request_sweep(pause);
+    }
+    const TriggerDecision d = decide_trigger(
+        options_,
+        {.pending = pending,
+         .failed = quarantine_.failed_bytes(),
+         .unmapped = unmapped,
+         .jade_live = jade_.live_bytes(),
+         .committed = access_map_.committed_bytes(),
+         // msw-relaxed(stat-cells): threshold heuristic read; a stale
+         // value only shifts when the next sweep triggers.
+         .last_non_heap_scan =
+             last_non_heap_scan_.load(std::memory_order_relaxed)});
+    if (d.sweep)
+        controller_.request_sweep(d.pause);
 }
 
 std::size_t
@@ -495,21 +525,38 @@ QuarantineRuntime::run_sweep()
             PhaseScope stw(stats_, Stat::kStwNs, TraceEvent::kStwPause,
                            &tele.stw_ns);
             roots_.stop_world();
-            std::vector<Range> rescan;
-            tracker_->end_collect(rescan);
+            sweep::ScanSet rescan;
+            std::vector<Range> dirty;
+            tracker_->end_collect(dirty);
+            // A tracker of arbitrary memory also reports dirty root pages.
+            for (const Range& r : dirty) {
+                rescan[jade_.contains(r.base) ? sweep::Origin::kHeap
+                                              : sweep::Origin::kRoots]
+                    .push_back(r);
+            }
             if (!tracker_->tracks_arbitrary_memory()) {
                 for (const Range& r : roots_.roots_stw())
-                    sweep::append_resident_subranges(r, &rescan);
+                    sweep::append_resident_subranges(
+                        r, &rescan[sweep::Origin::kRoots]);
             }
+            std::vector<Range>& stacks = rescan[sweep::Origin::kStacks];
             for (const Range& r : roots_.stacks_stw())
-                sweep::append_resident_subranges(r, &rescan);
+                sweep::append_resident_subranges(r, &stacks);
             for (const Range& r : roots_.parked_registers())
-                rescan.push_back(r);
+                stacks.push_back(r);
             marked.add(mark(rescan));
             roots_.resume_world();
         }
         stats_.add(Stat::kBytesScanned, marked.bytes_scanned);
         stats_.add(Stat::kPointersFound, marked.pointers_found);
+        for (unsigned o = 0; o < sweep::kNumOrigins; ++o) {
+            stats_.add(kOriginBytes[o], marked.origin_bytes[o]);
+            stats_.add(kOriginPointers[o], marked.origin_pointers[o]);
+        }
+        // msw-relaxed(stat-cells): threshold heuristic input; a stale
+        // read only shifts when the next sweep triggers.
+        last_non_heap_scan_.store(marked.non_heap_bytes(),
+                                  std::memory_order_relaxed);
         marking.set_arg(marked.bytes_scanned);
     }
 
@@ -631,6 +678,10 @@ QuarantineRuntime::sweep_stats() const
 {
     SweepStats s = stats_.read_all();
     s.sweeps = controller_.sweeps_done();
+    // The gauge rows are FFMalloc's cells; this runtime's gauges are the
+    // values stats() reports.
+    s.live_bytes = live_bytes();
+    s.committed_bytes = access_map_.committed_bytes();
     for (unsigned i = 0; i < util::kNumFailpoints; ++i)
         s.failpoint_hits[i] =
             util::failpoint_hits(static_cast<util::Failpoint>(i));
@@ -692,19 +743,27 @@ QuarantineRuntime::internal_regions() const
     return out;
 }
 
+std::size_t
+QuarantineRuntime::live_bytes() const
+{
+    const std::size_t jade_live = jade_.live_bytes();
+    const std::size_t quarantined = quarantine_.pending_bytes() +
+                                    quarantine_.failed_bytes() +
+                                    quarantine_.unmapped_bytes();
+    return jade_live > quarantined ? jade_live - quarantined : 0;
+}
+
 alloc::AllocatorStats
 QuarantineRuntime::stats() const
 {
     const quarantine::QuarantineStats qs = quarantine_.stats();
     alloc::AllocatorStats s;
-    const std::size_t jade_live = jade_.live_bytes();
-    const std::size_t quarantined =
-        qs.pending_bytes + qs.failed_bytes + qs.unmapped_bytes;
-    s.live_bytes = jade_live > quarantined ? jade_live - quarantined : 0;
+    s.live_bytes = live_bytes();
     s.committed_bytes = access_map_.committed_bytes();
     s.metadata_bytes =
         jade_.stats().metadata_bytes + mark_bits_.shadow_bytes() * 2;
-    s.quarantine_bytes = quarantined;
+    s.quarantine_bytes =
+        qs.pending_bytes + qs.failed_bytes + qs.unmapped_bytes;
     s.sweeps = controller_.sweeps_done();
     s.alloc_calls = stats_.read(Stat::kAllocCalls);
     s.free_calls = stats_.read(Stat::kFreeCalls);

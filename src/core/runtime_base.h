@@ -31,6 +31,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -49,6 +50,32 @@
 #include "util/failpoint.h"
 
 namespace msw::core {
+
+/** The byte counts one sweep-trigger decision reads. */
+struct TriggerInput {
+    std::size_t pending = 0;    ///< Mapped bytes of the current epoch.
+    std::size_t failed = 0;     ///< Failed frees awaiting a re-test.
+    std::size_t unmapped = 0;   ///< Unmapped quarantined bytes.
+    std::size_t jade_live = 0;  ///< Substrate live bytes, quarantine included.
+    std::size_t committed = 0;  ///< Committed heap pages (the footprint).
+    /** Roots, stacks, extra roots and registers the last sweep scanned. */
+    std::size_t last_non_heap_scan = 0;
+};
+
+struct TriggerDecision {
+    bool sweep = false;  ///< Request a sweep.
+    bool pause = false;  ///< Also raise the backpressure gate (§5.7).
+};
+
+/**
+ * The sweep trigger (§3.2, §4.2, §5.7), scaled by what a sweep scans:
+ * sweep once pending >= sweep_threshold x max(heap, last non-heap scan),
+ * or once unmapped quarantine reaches unmapped_factor x the committed
+ * footprint; pause allocations once pending exceeds pause_factor x
+ * max(live heap, last non-heap scan). With no non-heap scan larger than
+ * the heap this is the paper's rule.
+ */
+TriggerDecision decide_trigger(const Options& opts, const TriggerInput& in);
 
 /**
  * Statistics surface shared by every UAF runtime: a sharded counter block
@@ -153,16 +180,16 @@ class QuarantineRuntime : public RuntimeBase
      */
     explicit QuarantineRuntime(const Options& opts);
 
-    /** The ranges the concurrent mark pass starts from. */
-    virtual std::vector<sweep::Range> scan_set() const = 0;
+    /** The ranges the concurrent mark pass starts from, by origin. */
+    virtual sweep::ScanSet scan_set() const = 0;
 
     /**
-     * Mark every quarantined allocation referenced from @p ranges in
+     * Mark every quarantined allocation referenced from @p set in
      * mark_bits_; called once concurrently and once with the world
      * stopped (mostly-concurrent). Returns the bytes scanned and the
-     * pointers found.
+     * pointers found, per origin.
      */
-    virtual sweep::MarkStats mark(const std::vector<sweep::Range>& ranges) = 0;
+    virtual sweep::MarkStats mark(const sweep::ScanSet& set) = 0;
 
     /**
      * The configuration in effect: the caller's record with the
@@ -204,7 +231,15 @@ class QuarantineRuntime : public RuntimeBase
     /** One sweep pass: lock in, mark, STW recheck, drain, release. */
     void run_sweep();
 
+    /** stats().live_bytes from relaxed loads only (signal-safe). */
+    std::size_t live_bytes() const;
+
     std::unique_ptr<Hooks> hooks_;
+    /**
+     * MarkStats::non_heap_bytes() of the last sweep that marked: written
+     * by the sweep pass, read by every trigger decision.
+     */
+    std::atomic<std::size_t> last_non_heap_scan_{0};
 };
 
 }  // namespace msw::core

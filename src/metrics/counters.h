@@ -23,7 +23,9 @@ enum class CounterKind : bool { kEvent, kGauge };
  * X(id, name, kind), in Stat and export order. Times are wall-clock ns
  * except sweep_cpu_ns (sweeper + helper thread CPU). pointers_found
  * counts scanned words that hit the heap (MineSweeper) or resolve to an
- * allocation (MarkUs): at most bytes_scanned / 8.
+ * allocation (MarkUs): at most bytes_scanned / 8. The _heap, _roots,
+ * _stacks and _extra_roots rows split bytes_scanned and pointers_found
+ * by sweep::Origin, in its order, and sum to them.
  */
 #define MSW_COUNTERS(X)                                                      \
     /* Allocation surface (all runtimes). */                                 \
@@ -36,6 +38,14 @@ enum class CounterKind : bool { kEvent, kGauge };
     X(kFailedFrees, failed_frees, kEvent)                                    \
     X(kBytesScanned, bytes_scanned, kEvent)                                  \
     X(kPointersFound, pointers_found, kEvent)                                \
+    X(kBytesScannedHeap, bytes_scanned_heap, kEvent)                         \
+    X(kBytesScannedRoots, bytes_scanned_roots, kEvent)                       \
+    X(kBytesScannedStacks, bytes_scanned_stacks, kEvent)                     \
+    X(kBytesScannedExtraRoots, bytes_scanned_extra_roots, kEvent)            \
+    X(kPointersFoundHeap, pointers_found_heap, kEvent)                       \
+    X(kPointersFoundRoots, pointers_found_roots, kEvent)                     \
+    X(kPointersFoundStacks, pointers_found_stacks, kEvent)                   \
+    X(kPointersFoundExtraRoots, pointers_found_extra_roots, kEvent)          \
     X(kSweepCpuNs, sweep_cpu_ns, kEvent)                                     \
     X(kStwNs, stw_ns, kEvent)                                                \
     X(kPauseNs, pause_ns, kEvent)                                            \
@@ -57,7 +67,7 @@ enum class CounterKind : bool { kEvent, kGauge };
     X(kCanaryViolations, canary_violations, kEvent)                          \
     X(kSweepFillChecks, sweep_fill_checks, kEvent)                           \
     X(kReleaseShuffles, release_shuffles, kEvent)                            \
-    /* Byte gauges (FFMalloc). */                                            \
+    /* Byte gauges (FFMalloc; quarantine runtimes: from stats()). */         \
     X(kLiveBytes, live_bytes, kGauge)                                        \
     X(kCommittedBytes, committed_bytes, kGauge)
 

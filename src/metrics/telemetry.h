@@ -51,7 +51,7 @@ struct TelemetryCounter {
 using SweepStatsFn = bool (*)(SweepStats* out);
 
 /** Maximum counters one dump exports. */
-inline constexpr std::size_t kMaxCounters = 32;
+inline constexpr std::size_t kMaxCounters = 48;
 
 /**
  * Fill @p out with `sweeps`, then one counter per counter-table row;

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <new>
 
@@ -147,6 +148,36 @@ chunk_ranges(const std::vector<Range>& ranges, std::size_t chunk_bytes)
     return chunks;
 }
 
+namespace {
+
+/**
+ * Residency of @p count pages from @p addr into @p vec. mincore fails
+ * the whole query with ENOMEM when any page in it is unmapped; split
+ * such a query in halves until each unmapped page stands alone and
+ * reads as not resident. A query failing for another reason covers
+ * mapped pages: they read as resident, so nothing mapped is skipped.
+ */
+void
+query_residency(std::uintptr_t addr, std::size_t count, unsigned char* vec)
+{
+    if (::mincore(to_ptr(addr), count << vm::kPageShift, vec) == 0)
+        return;
+    if (errno != ENOMEM) {
+        std::memset(vec, 1, count);
+        return;
+    }
+    if (count == 1) {
+        vec[0] = 0;
+        return;
+    }
+    const std::size_t half = count / 2;
+    query_residency(addr, half, vec);
+    query_residency(addr + (half << vm::kPageShift), count - half,
+                    vec + half);
+}
+
+}  // namespace
+
 void
 append_resident_subranges(const Range& range, std::vector<Range>* out)
 {
@@ -163,11 +194,7 @@ append_resident_subranges(const Range& range, std::vector<Range>* out)
     for (std::size_t first = 0; first < pages; first += kBatch) {
         const std::size_t count = std::min(kBatch, pages - first);
         const std::uintptr_t addr = lo + (first << vm::kPageShift);
-        if (::mincore(to_ptr(addr), count << vm::kPageShift, vec) != 0) {
-            // Unqueryable (e.g. unmapped): treat as resident so nothing
-            // is silently skipped; scan_chunk reads what it can.
-            std::memset(vec, 1, count);
-        }
+        query_residency(addr, count, vec);
         for (std::size_t i = 0; i < count; ++i) {
             const std::uintptr_t page = addr + (i << vm::kPageShift);
             if (vec[i] & 1) {
@@ -198,7 +225,7 @@ append_resident_subranges(const Range& range, std::vector<Range>* out)
 }
 
 void
-Marker::scan_chunk(std::uintptr_t lo, std::uintptr_t hi,
+Marker::scan_chunk(std::uintptr_t lo, std::uintptr_t hi, Origin origin,
                    MarkStats* stats) const
 {
     lo = align_up(lo, sizeof(std::uint64_t));
@@ -224,28 +251,43 @@ Marker::scan_chunk(std::uintptr_t lo, std::uintptr_t hi,
             ++found;
         }
     }
-    stats->bytes_scanned += hi - lo;
-    stats->pointers_found += found;
+    stats->add(origin, hi - lo, found);
 }
 
 MarkStats
 Marker::mark_one(const Range& range)
 {
     MarkStats stats;
-    scan_chunk(range.base, range.end(), &stats);
+    scan_chunk(range.base, range.end(), Origin::kHeap, &stats);
     return stats;
 }
 
 MarkStats
 Marker::mark_ranges(const std::vector<Range>& ranges, SweepWorkers* workers)
 {
+    ScanSet set;
+    set[Origin::kHeap] = ranges;
+    return mark_ranges(set, workers);
+}
+
+MarkStats
+Marker::mark_ranges(const ScanSet& set, SweepWorkers* workers)
+{
     // 1 MiB chunks: large enough to amortise dispatch, small enough to
-    // balance across workers.
-    const std::vector<Range> chunks = chunk_ranges(ranges, 1 << 20);
+    // balance across workers. Each keeps its range's origin.
+    struct Chunk {
+        Range range;
+        Origin origin;
+    };
+    std::vector<Chunk> chunks;
+    for (unsigned o = 0; o < kNumOrigins; ++o) {
+        for (const Range& c : chunk_ranges(set.ranges[o], 1 << 20))
+            chunks.push_back(Chunk{c, static_cast<Origin>(o)});
+    }
     if (workers == nullptr || workers->count() == 1 || chunks.size() <= 1) {
         MarkStats stats;
-        for (const Range& c : chunks)
-            scan_chunk(c.base, c.end(), &stats);
+        for (const Chunk& c : chunks)
+            scan_chunk(c.range.base, c.range.end(), c.origin, &stats);
         return stats;
     }
 
@@ -260,7 +302,8 @@ Marker::mark_ranges(const std::vector<Range>& ranges, SweepWorkers* workers)
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= chunks.size())
                 break;
-            scan_chunk(chunks[i].base, chunks[i].end(), &stats);
+            scan_chunk(chunks[i].range.base, chunks[i].range.end(),
+                       chunks[i].origin, &stats);
         }
     });
 

@@ -29,16 +29,61 @@
 
 namespace msw::sweep {
 
-/** Statistics from one marking pass. */
+/** Where a scanned range comes from. */
+enum class Origin : unsigned {
+    kHeap,        ///< Committed heap pages; objects a transitive mark reached.
+    kRoots,       ///< Registered root ranges (and their dirty pages).
+    kStacks,      ///< Mutator stacks and parked register files.
+    kExtraRoots,  ///< The extra-roots provider (the shim's /proc/self/maps).
+};
+
+inline constexpr unsigned kNumOrigins = 4;
+
+/** The ranges one mark pass scans, grouped by origin. */
+struct ScanSet {
+    std::vector<Range> ranges[kNumOrigins];
+
+    std::vector<Range>&
+    operator[](Origin o)
+    {
+        return ranges[static_cast<unsigned>(o)];
+    }
+};
+
+/**
+ * Statistics from one marking pass: the totals and the same two numbers
+ * per origin, which sum to them. Scanners add once per chunk or range
+ * they finish, never per word.
+ */
 struct MarkStats {
     std::uint64_t bytes_scanned = 0;
     std::uint64_t pointers_found = 0;
+    std::uint64_t origin_bytes[kNumOrigins] = {};
+    std::uint64_t origin_pointers[kNumOrigins] = {};
+
+    void
+    add(Origin o, std::uint64_t bytes, std::uint64_t pointers)
+    {
+        bytes_scanned += bytes;
+        pointers_found += pointers;
+        origin_bytes[static_cast<unsigned>(o)] += bytes;
+        origin_pointers[static_cast<unsigned>(o)] += pointers;
+    }
 
     void
     add(const MarkStats& o)
     {
-        bytes_scanned += o.bytes_scanned;
-        pointers_found += o.pointers_found;
+        for (unsigned i = 0; i < kNumOrigins; ++i)
+            add(static_cast<Origin>(i), o.origin_bytes[i],
+                o.origin_pointers[i]);
+    }
+
+    /** Bytes scanned outside the heap: roots, stacks and extra roots. */
+    std::uint64_t
+    non_heap_bytes() const
+    {
+        return bytes_scanned -
+               origin_bytes[static_cast<unsigned>(Origin::kHeap)];
     }
 };
 
@@ -122,13 +167,17 @@ class Marker
     {}
 
     /**
-     * Scan @p ranges with @p workers (nullptr = caller only), marking
-     * every word that points into [heap_base, heap_end).
+     * Scan @p set with @p workers (nullptr = caller only), marking
+     * every word that points into [heap_base, heap_end). Each chunk
+     * carries its range's origin.
      */
+    MarkStats mark_ranges(const ScanSet& set, SweepWorkers* workers);
+
+    /** mark_ranges() over heap-origin @p ranges. */
     MarkStats mark_ranges(const std::vector<Range>& ranges,
                           SweepWorkers* workers);
 
-    /** Scan a single range on the calling thread. */
+    /** Scan a single heap-origin range on the calling thread. */
     MarkStats mark_one(const Range& range);
 
   private:
@@ -138,7 +187,7 @@ class Marker
      * TSan instrumentation are off here.
      */
     MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD
-    void scan_chunk(std::uintptr_t lo, std::uintptr_t hi,
+    void scan_chunk(std::uintptr_t lo, std::uintptr_t hi, Origin origin,
                     MarkStats* stats) const;
 
     ShadowMap* shadow_;
@@ -154,7 +203,11 @@ std::vector<Range> chunk_ranges(const std::vector<Range>& ranges,
  * Restrict @p range to its OS-resident pages (via mincore). Scanning an
  * 8 MiB thread stack would otherwise fault in every untouched page on
  * every sweep; non-resident anonymous pages are all-zero and cannot hold
- * pointers, so skipping them is exact, not approximate.
+ * pointers, so skipping them is exact, not approximate. Unmapped pages
+ * are skipped too: they hold nothing, and reading one would fault (or,
+ * below the main thread's [stack] mapping, grow it). mincore fails a
+ * whole query that covers any unmapped page, so such a query is split
+ * in halves until the unmapped pages are isolated.
  */
 void append_resident_subranges(const Range& range,
                                std::vector<Range>* out);

@@ -4,8 +4,9 @@
 // either a released entry or a still-quarantined one. The same trace
 // checks the phase accounting: phase times fit inside the sweeps' wall
 // time, stop-the-world windows are counted and timed exactly once,
-// release takes at most one bin lock per released entry, and mark finds
-// at most one pointer per scanned word.
+// release takes at most one bin lock per released entry, mark finds at
+// most one pointer per scanned word, and the per-origin scan counters
+// add up to the totals.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -187,6 +188,27 @@ TEST_P(LedgerTest, PhaseTimesFitTheSweepWallTime)
     EXPECT_EQ(tele.stw_ns.count() - stw_count0,
               GetParam().stops_world ? swept : 0u);
     EXPECT_EQ(tele.stw_ns.sum() - stw_sum0, st.stw_ns);
+}
+
+// The per-origin rows split the two mark totals: they sum to
+// bytes_scanned and to pointers_found. The registered root table is
+// scanned every sweep; MineSweeper scans the committed heap and MarkUs
+// the objects its mark reaches.
+TEST_P(LedgerTest, ScanOriginsSumToTheTotals)
+{
+    const std::unique_ptr<QuarantineRuntime> rt = GetParam().make();
+    run_trace(*rt);
+    const SweepStats st = rt->sweep_stats();
+    EXPECT_EQ(st.bytes_scanned_heap + st.bytes_scanned_roots +
+                  st.bytes_scanned_stacks + st.bytes_scanned_extra_roots,
+              st.bytes_scanned);
+    EXPECT_EQ(st.pointers_found_heap + st.pointers_found_roots +
+                  st.pointers_found_stacks + st.pointers_found_extra_roots,
+              st.pointers_found);
+    EXPECT_GT(st.bytes_scanned_roots, 0u);
+    EXPECT_GT(st.pointers_found_roots, 0u);
+    EXPECT_GT(st.bytes_scanned_heap, 0u);
+    EXPECT_EQ(st.bytes_scanned_extra_roots, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

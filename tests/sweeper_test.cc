@@ -2,6 +2,8 @@
 // chunking, parallel dispatch, and the page-access map.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstring>
 #include <vector>
@@ -118,6 +120,87 @@ TEST_F(MarkerTest, ParallelMarkingFindsEverything)
     for (std::size_t i = 0; i < n; i += 97)
         ASSERT_TRUE(
             shadow.test(heap.base() + (i * 2654435761u) % heap.size()));
+}
+
+// Each chunk adds its bytes and pointers to its range's origin, and the
+// origins sum to the totals.
+TEST_F(MarkerTest, CountsEachOriginApart)
+{
+    auto* words = reinterpret_cast<std::uint64_t*>(heap.base());
+    for (std::size_t i = 0; i < 3; ++i)
+        words[i] = heap.base() + 4096;
+    buffer[0] = heap.base() + 8192;
+    alignas(8) std::uint64_t stack_words[64] = {};
+    stack_words[1] = heap.base();
+    stack_words[2] = heap.base() + 16;
+
+    ScanSet set;
+    set[Origin::kHeap].push_back(Range{heap.base(), std::size_t{3} << 20});
+    set[Origin::kRoots].push_back(Range{to_addr(buffer), sizeof(buffer)});
+    set[Origin::kStacks].push_back(
+        Range{to_addr(stack_words), sizeof(stack_words)});
+    SweepWorkers workers(2);
+    const MarkStats stats = marker.mark_ranges(set, &workers);
+
+    const auto at = [](Origin o) { return static_cast<unsigned>(o); };
+    EXPECT_EQ(stats.origin_bytes[at(Origin::kHeap)], std::uint64_t{3} << 20);
+    EXPECT_EQ(stats.origin_bytes[at(Origin::kRoots)], sizeof(buffer));
+    EXPECT_EQ(stats.origin_bytes[at(Origin::kStacks)], sizeof(stack_words));
+    EXPECT_EQ(stats.origin_bytes[at(Origin::kExtraRoots)], 0u);
+    EXPECT_EQ(stats.origin_pointers[at(Origin::kHeap)], 3u);
+    EXPECT_EQ(stats.origin_pointers[at(Origin::kRoots)], 1u);
+    EXPECT_EQ(stats.origin_pointers[at(Origin::kStacks)], 2u);
+    EXPECT_EQ(stats.bytes_scanned,
+              (std::uint64_t{3} << 20) + sizeof(buffer) + sizeof(stack_words));
+    EXPECT_EQ(stats.pointers_found, 6u);
+    EXPECT_EQ(stats.non_heap_bytes(), sizeof(buffer) + sizeof(stack_words));
+}
+
+/** Start of @p pages fresh anonymous pages, each written once. */
+std::uintptr_t
+map_touched(std::size_t pages)
+{
+    void* p = ::mmap(nullptr, pages * vm::kPageSize, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EXPECT_NE(p, MAP_FAILED);
+    for (std::size_t i = 0; i < pages; ++i)
+        static_cast<char*>(p)[i * vm::kPageSize] = 1;
+    return to_addr(p);
+}
+
+// mincore fails a whole query that covers an unmapped page; the hole
+// must come back as not resident while the mapped pages around it keep
+// their residency, untouched pages included (they are not resident).
+TEST(ResidentSubranges, SkipsAnUnmappedHole)
+{
+    constexpr std::size_t kPage = vm::kPageSize;
+    const std::uintptr_t base = map_touched(64);
+    ASSERT_EQ(::munmap(to_ptr(base + 16 * kPage), 16 * kPage), 0);
+    ASSERT_EQ(::madvise(to_ptr(base + 40 * kPage), 8 * kPage,
+                        MADV_DONTNEED),
+              0);
+
+    std::vector<Range> out;
+    append_resident_subranges(Range{base + 8, 64 * kPage - 16}, &out);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].base, base + 8);
+    EXPECT_EQ(out[0].end(), base + 16 * kPage);
+    EXPECT_EQ(out[1].base, base + 32 * kPage);
+    EXPECT_EQ(out[1].end(), base + 40 * kPage);
+    EXPECT_EQ(out[2].base, base + 48 * kPage);
+    EXPECT_EQ(out[2].end(), base + 64 * kPage - 8);
+
+    ::munmap(to_ptr(base), 16 * kPage);
+    ::munmap(to_ptr(base + 32 * kPage), 32 * kPage);
+}
+
+TEST(ResidentSubranges, UnmappedRangeIsEmpty)
+{
+    const std::uintptr_t base = map_touched(8);
+    ASSERT_EQ(::munmap(to_ptr(base), 8 * vm::kPageSize), 0);
+    std::vector<Range> out;
+    append_resident_subranges(Range{base, 8 * vm::kPageSize}, &out);
+    EXPECT_TRUE(out.empty());
 }
 
 TEST(ChunkRanges, SplitsAndPreservesCoverage)

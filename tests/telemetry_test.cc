@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "core/minesweeper.h"
 #include "metrics/telemetry.h"
@@ -202,6 +203,34 @@ TEST_F(TelemetryTest, CounterProviderExportsOneNamePerTableRow)
     ::unlink(path.c_str());
     EXPECT_NE(json.find("\"pointers_found\": 4242"), std::string::npos);
     EXPECT_NE(json.find("\"sweeps\": 0"), std::string::npos);
+}
+
+// MSW_STATS_DUMP's live_bytes and committed_bytes rows are FFMalloc's
+// gauge cells; a quarantine runtime fills them from stats() instead, so
+// the dump reports its heap rather than 0.
+TEST_F(TelemetryTest, QuarantineRuntimeExportsItsHeapGauges)
+{
+    core::MineSweeper msw;
+    std::vector<void*> blocks;
+    for (int i = 0; i < 256; ++i)
+        blocks.push_back(msw.alloc(4096));
+    const alloc::AllocatorStats a = msw.stats();
+    const SweepStats s = msw.sweep_stats();
+    EXPECT_GT(s.live_bytes, 0u);
+    EXPECT_GT(s.committed_bytes, 0u);
+    EXPECT_EQ(s.live_bytes, a.live_bytes);
+    EXPECT_EQ(s.committed_bytes, a.committed_bytes);
+
+    TelemetryCounter out[kMaxCounters];
+    const std::size_t n = export_counters(s, out);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (std::strcmp(out[i].name, "live_bytes") == 0 ||
+            std::strcmp(out[i].name, "committed_bytes") == 0) {
+            EXPECT_GT(out[i].value, 0u) << out[i].name;
+        }
+    }
+    for (void* p : blocks)
+        msw.free(p);
 }
 
 TEST_F(TelemetryTest, SigsafeDumpWritesDigests)
