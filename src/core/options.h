@@ -67,7 +67,10 @@ struct Options {
     /** Full allocator purge after every sweep (§4.5). */
     bool purging = true;
 
-    /** Helper sweep threads in addition to the main sweeper (§4.4). */
+    /**
+     * Helper threads that mark alongside the sweeper (§4.4). Release
+     * runs on the sweeping thread alone (DESIGN.md §3).
+     */
     unsigned helper_threads = 6;
 
     /**

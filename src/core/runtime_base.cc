@@ -28,34 +28,6 @@ using metrics::TraceEvent;
 
 namespace {
 
-/**
- * One release worker's tallies, kept on its own stack and summed after
- * the join, as Marker::mark_ranges sums MarkStats.
- */
-struct ReleaseTally {
-    std::uint64_t released = 0;
-    std::uint64_t released_bytes = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t fill_checks = 0;
-    std::uint64_t fill_violations = 0;
-    std::uint64_t bin_locks = 0;  ///< Bin-lock acquisitions by free_batch.
-    std::vector<Entry> failed_entries;
-
-    void
-    add(const ReleaseTally& o)
-    {
-        released += o.released;
-        released_bytes += o.released_bytes;
-        failed += o.failed;
-        fill_checks += o.fill_checks;
-        fill_violations += o.fill_violations;
-        bin_locks += o.bin_locks;
-        failed_entries.insert(failed_entries.end(),
-                              o.failed_entries.begin(),
-                              o.failed_entries.end());
-    }
-};
-
 /** The per-origin counter rows, in sweep::Origin order. */
 constexpr Stat kOriginBytes[sweep::kNumOrigins] = {
     Stat::kBytesScannedHeap, Stat::kBytesScannedRoots,
@@ -579,23 +551,26 @@ QuarantineRuntime::run_sweep()
     const auto check_fill = options_.zeroing
                                 ? options_.jade.policy->check_free_fill
                                 : nullptr;
-    std::vector<ReleaseTally> per_worker(
-        workers_ != nullptr ? workers_->count() : 1);
-    std::atomic<std::size_t> next{0};
-    auto release_job = [&](unsigned index) {
-        // Sweep context with restore on exit: index 0 runs on the
-        // *calling* thread, which for emergency and watchdog-fallback
-        // sweeps is a mutator whose own watchdog checks must survive.
+    // Only the thread running this sweep releases: bin locks serialize
+    // frees to a bin anyway, so helpers would only contend on them
+    // (DESIGN.md §3).
+    std::uint64_t released = 0;
+    std::uint64_t released_bytes = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t fill_checks = 0;
+    std::uint64_t fill_violations = 0;
+    std::uint64_t bin_locks = 0;  // Bin-lock acquisitions by free_batch.
+    std::vector<Entry> failed_entries;
+    {
+        PhaseScope release(stats_, Stat::kPhaseReleaseNs,
+                           TraceEvent::kPhaseRelease);
+        // Sweep context with restore on exit: for emergency and
+        // watchdog-fallback sweeps this is a mutator whose own watchdog
+        // checks must survive the sweep.
         SweepController::ScopedSweepContext scoped;
         constexpr std::size_t kBatch = alloc::JadeAllocator::kFreeBatch;
-        ReleaseTally t;
-        for (;;) {
-            // msw-relaxed(work-cursor): batch ticket; only RMW
-            // atomicity matters, entries are read-only here.
-            const std::size_t start =
-                next.fetch_add(kBatch, std::memory_order_relaxed);
-            if (start >= locked_in.size())
-                break;
+        for (std::size_t start = 0; start < locked_in.size();
+             start += kBatch) {
             const std::size_t end =
                 std::min(start + kBatch, locked_in.size());
             void* frees[kBatch];
@@ -603,18 +578,18 @@ QuarantineRuntime::run_sweep()
             for (std::size_t i = start; i < end; ++i) {
                 const Entry& e = locked_in[i];
                 if (mark_bits_.test_range(e.real_base(), e.usable)) {
-                    ++t.failed;
+                    ++failed;
                     if (options_.keep_failed) {
-                        t.failed_entries.push_back(e);
+                        failed_entries.push_back(e);
                         continue;
                     }
                 }
                 if (check_fill != nullptr && !e.unmapped) {
-                    ++t.fill_checks;
+                    ++fill_checks;
                     const void* bad = check_fill(to_ptr(e.real_base()),
                                                  e.usable);
                     if (bad != nullptr) {
-                        ++t.fill_violations;
+                        ++fill_violations;
                         alloc::policy_violation(
                             "quarantined memory tampered before release",
                             bad);
@@ -623,42 +598,28 @@ QuarantineRuntime::run_sweep()
                 if (!reclaimer_.prepare_release(e)) {
                     // Could not restore access under pressure: keep the
                     // entry quarantined; a later sweep retries.
-                    ++t.failed;
-                    t.failed_entries.push_back(e);
+                    ++failed;
+                    failed_entries.push_back(e);
                     continue;
                 }
                 frees[nfree++] = to_ptr(e.real_base());
-                ++t.released;
-                t.released_bytes += e.usable;
+                ++released;
+                released_bytes += e.usable;
             }
             // The ticket's releasable blocks go back in one call: each
             // bin lock once, the allocator's counters once.
-            t.bin_locks += jade_.free_batch(frees, nfree);
+            bin_locks += jade_.free_batch(frees, nfree);
         }
-        // One store per worker, after its loop: no shared line is
-        // written per entry, and the join below publishes it.
-        per_worker[index] = std::move(t);
-    };
-    ReleaseTally total;
-    {
-        PhaseScope release(stats_, Stat::kPhaseReleaseNs,
-                           TraceEvent::kPhaseRelease);
-        if (workers_ != nullptr)
-            workers_->run(release_job);
-        else
-            release_job(0);
-        for (const ReleaseTally& t : per_worker)
-            total.add(t);
-        release.set_arg(total.released);
+        release.set_arg(released);
     }
-    stats_.add(Stat::kEntriesReleased, total.released);
-    stats_.add(Stat::kBytesReleased, total.released_bytes);
-    stats_.add(Stat::kFailedFrees, total.failed);
-    stats_.add(Stat::kSweepFillChecks, total.fill_checks);
-    stats_.add(Stat::kCanaryViolations, total.fill_violations);
-    stats_.add(Stat::kReleaseBinLocks, total.bin_locks);
+    stats_.add(Stat::kEntriesReleased, released);
+    stats_.add(Stat::kBytesReleased, released_bytes);
+    stats_.add(Stat::kFailedFrees, failed);
+    stats_.add(Stat::kSweepFillChecks, fill_checks);
+    stats_.add(Stat::kCanaryViolations, fill_violations);
+    stats_.add(Stat::kReleaseBinLocks, bin_locks);
     mark_bits_.clear_marks();
-    quarantine_.store_failed(std::move(total.failed_entries));
+    quarantine_.store_failed(std::move(failed_entries));
 
     reclaimer_.end_scan();
 
@@ -670,7 +631,7 @@ QuarantineRuntime::run_sweep()
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
     stats_.add(Stat::kSweepCpuNs, (util::thread_cpu_ns() - cpu0) +
                                       (helpers1 - helpers0));
-    whole.set_arg(total.released);
+    whole.set_arg(released);
 }
 
 SweepStats

@@ -165,19 +165,20 @@ class SweepController
     }
 
     /**
-     * True on threads executing sweep machinery (the sweeper thread and
-     * helpers running release jobs). In the self-hosted deployment their
-     * internal allocations arrive through the interposed malloc; they must
-     * never block in the allocation-pausing backpressure they themselves
-     * are responsible for clearing.
+     * True on threads executing sweep machinery (the sweeper thread, and
+     * a mutator while it releases for an emergency or watchdog-fallback
+     * sweep). In the self-hosted deployment their internal allocations
+     * arrive through the interposed malloc; they must never block in the
+     * allocation-pausing backpressure they themselves are responsible
+     * for clearing.
      */
     static bool in_sweep_context();
 
     /**
      * Mark the current scope as sweep machinery, restoring the previous
-     * state on exit: release jobs run worker index 0 on the *calling*
-     * thread, which for emergency and watchdog-fallback sweeps is a
-     * mutator whose own watchdog checks must survive the sweep.
+     * state on exit: release runs on the thread that runs the sweep,
+     * which for emergency and watchdog-fallback sweeps is a mutator
+     * whose own watchdog checks must survive the sweep.
      */
     class ScopedSweepContext
     {

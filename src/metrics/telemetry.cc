@@ -98,6 +98,9 @@ provider_counters(TelemetryCounter (&out)[kMaxCounters])
     const SweepStatsFn fn =
         g_telemetry.stats_fn.load(std::memory_order_relaxed);
     SweepStats s;
+    // The shim is the only provider; naming it lets msw-analyze check
+    // the SIGUSR2 path through it.
+    // msw-analyze: calls(shim_sweep_stats)
     if (fn == nullptr || !fn(&s))
         return 0;
     return export_counters(s, out);

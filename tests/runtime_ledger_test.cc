@@ -6,7 +6,8 @@
 // time, stop-the-world windows are counted and timed exactly once,
 // release takes at most one bin lock per released entry, mark finds at
 // most one pointer per scanned word, and the per-origin scan counters
-// add up to the totals.
+// add up to the totals. A synchronous run of the trace with no helpers
+// and one with six must release alike and leave the same heap behind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc/policy.h"
 #include "baselines/markus.h"
 #include "core/minesweeper.h"
 #include "metrics/telemetry.h"
@@ -234,6 +236,68 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RuntimeCase>& info) {
         return std::string(info.param.name);
     });
+
+/** What a synchronous trace left behind, for the helper-count diff. */
+struct ReleaseOutcome {
+    std::uint64_t entries_released;
+    std::uint64_t failed_frees;
+    std::uint64_t release_bin_locks;
+    alloc::AllocatorStats stats;
+    std::vector<std::uintptr_t> next_offsets;  ///< From the heap base.
+};
+
+ReleaseOutcome
+synchronous_outcome(unsigned helpers)
+{
+    Options o;
+    o.mode = Mode::kSynchronous;
+    o.helper_threads = helpers;
+    o.min_sweep_bytes = kMinSweepBytes;
+    o.jade.heap_bytes = std::size_t{1} << 30;
+    // The hardened policy shuffles and places from a per-thread entropy
+    // seed, so only the default policy makes the heap's shape a function
+    // of the trace (HardenedRuntime covers the shuffled order).
+    o.jade.policy = &alloc::default_policy();
+    MineSweeper rt(o);
+    run_trace(rt);
+    const SweepStats st = rt.sweep_stats();
+    ReleaseOutcome out{st.entries_released, st.failed_frees,
+                       st.release_bin_locks, rt.stats(), {}};
+    const std::uintptr_t base = rt.substrate().reservation().base();
+    Rng rng(23);
+    for (int i = 0; i < 4000; ++i) {
+        const std::size_t size =
+            rng.next_bool(0.02) ? (16u << 10) + rng.next_below(240u << 10)
+                                : 1 + rng.next_below(512);
+        void* p = rt.alloc(size);
+        EXPECT_NE(p, nullptr);
+        out.next_offsets.push_back(to_addr(p) - base);
+    }
+    return out;
+}
+
+// Release runs on the sweeping thread alone, walking the locked-in list
+// in order, so helpers change how fast the mark runs and nothing else:
+// the same entries go back through the same bin locks, and the heap they
+// leave hands out the same blocks.
+TEST(ReleaseDifferential, OutcomeDoesNotDependOnHelperCount)
+{
+    const ReleaseOutcome none = synchronous_outcome(0);
+    const ReleaseOutcome six = synchronous_outcome(6);
+    EXPECT_GT(none.entries_released, 0u);
+    EXPECT_GT(none.failed_frees, 0u);
+    EXPECT_EQ(none.entries_released, six.entries_released);
+    EXPECT_EQ(none.failed_frees, six.failed_frees);
+    EXPECT_EQ(none.release_bin_locks, six.release_bin_locks);
+    EXPECT_EQ(none.stats.live_bytes, six.stats.live_bytes);
+    EXPECT_EQ(none.stats.committed_bytes, six.stats.committed_bytes);
+    EXPECT_EQ(none.stats.metadata_bytes, six.stats.metadata_bytes);
+    EXPECT_EQ(none.stats.quarantine_bytes, six.stats.quarantine_bytes);
+    EXPECT_EQ(none.stats.sweeps, six.stats.sweeps);
+    EXPECT_EQ(none.stats.alloc_calls, six.stats.alloc_calls);
+    EXPECT_EQ(none.stats.free_calls, six.stats.free_calls);
+    EXPECT_EQ(none.next_offsets, six.next_offsets);
+}
 
 }  // namespace
 }  // namespace msw::core

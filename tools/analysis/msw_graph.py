@@ -26,6 +26,11 @@ next function definition):
   // msw-analyze: slow-path(<why>)          sanctioned fast-path exit
   // msw-analyze: fork-deferred(<why>)      runs after the child hook
                                             has reinitialised the locks
+  // msw-analyze: calls(<name>[, <name>])   call-site annotation: the
+                                            enclosing function calls the
+                                            named functions (an indirect
+                                            call through a pointer the
+                                            graph cannot resolve)
 """
 
 import os
@@ -34,11 +39,13 @@ import re
 from msw_common import _KEYWORDS, _SHIM_ENTRIES, _ATFORK_RE, \
     _SIG_INSTALL_RES, _match_delim, parse_enum
 
-FACTS_VERSION = 2
+FACTS_VERSION = 3
 
 TAG_RE = re.compile(
     r"msw-analyze:\s*(fast-path|slow-path|fork-deferred)"
     r"\s*(?:\(([^)]*)\))?")
+
+CALLS_RE = re.compile(r"msw-analyze:\s*calls\(([^)]*)\)")
 
 _DEF_NAME_RE = re.compile(
     r"(~?[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)*)\s*\(")
@@ -349,6 +356,19 @@ def extract_file_facts(sf):
             tags_by_line.append((lineno, tm.group(1),
                                  (tm.group(2) or "").strip()))
 
+    # --- call-site annotations: (offset of the comment's line, line,
+    # target); a qualified target keeps its class for resolution
+    annotated_calls = []
+    line_off = 0
+    for lineno, raw in enumerate(sf.raw_lines, 1):
+        cm = CALLS_RE.search(raw)
+        if cm:
+            for target in cm.group(1).split(","):
+                if target.strip():
+                    annotated_calls.append(
+                        (line_off, lineno, re.sub(r"\s+", "", target)))
+        line_off = code.find("\n", line_off) + 1
+
     # --- function definitions
     funcs = []
     claimed = []  # accepted body intervals, in offset order
@@ -420,6 +440,11 @@ def extract_file_facts(sf):
             off = cm.start()
             events.append([off, sf.line_of(off), "call", cname,
                            rkind, recv])
+        for off, line, target in annotated_calls:
+            if s <= off <= e and not excluded(off):
+                recv, _sep, cname = target.rpartition("::")
+                events.append([off, line, "call", cname, "annot",
+                               recv.split("::")[-1]])
         events.sort(key=lambda ev: (ev[0], ev[2] != "rel"))
         return events
 
@@ -667,6 +692,11 @@ class Program:
             return self._virtual_lookup(ret, name) if ret else []
         if rkind == "unknown":
             return []
+        if rkind == "annot":
+            # An annotated indirect call: exactly the named targets.
+            if recv:
+                return self._chain_lookup(recv, name)
+            return self.by_name.get(name, [])
         # bare: own class chain first, then any definition by name
         if fn["qual"]:
             hit = self._chain_lookup(fn["qual"], name)
